@@ -11,12 +11,21 @@ Every workload does a fixed amount of work for a given ``--seed`` and
 the clock), so answers and engine counters repeat exactly; the
 open-loop and closed-loop serving phases are the exception by design:
 they run for a fixed time, and only their latencies and rates are read.
+
+The host this runs on alternates between an uncontended speed and one
+about 1.5x slower, in stretches of a fraction of a second to minutes.
+Where an op can be repeated from the same state (a held-out answer in
+``meta_train``, every op of ``serve_churn``'s replayed rounds), each op
+is timed once per round, rounds are spread over the run, and the op's
+time is the fastest of its rounds: a stretch of contention then has to
+cover every round of an op to show in its figure.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import hashlib
 import json
 import math
 import os
@@ -56,10 +65,12 @@ GRAD_CLIP = 5.0
 
 #: meta_train: optimiser steps per requested second, untimed warm-up
 #: steps, held-out tasks, and the rounds of training steps each followed
-#: by a cold answer of every held-out task.
-STEPS_PER_SECOND = 2.0
+#: by a cold answer (context encode + decode) of every held-out task.  A
+#: held-out task's answer time is its fastest of the rounds; 100 tasks
+#: leave ten beyond p90.
+STEPS_PER_SECOND = 1.5
 WARMUP_STEPS = 2
-TEST_TASKS = 32
+TEST_TASKS = 100
 ANSWER_ROUNDS = 4
 
 #: Serving workloads: 600-node tasks on a float32 engine.  The served
@@ -82,10 +93,16 @@ HOT_ROUNDS = 4              # rounds of a, b, c interleaved over the run
 HOT_CHECK_EVERY = 25        # gateway answers sampled for the bitwise check
 CHURN_TASKS = 16
 CHURN_CACHE = 8
-CHURN_OPS_PER_SECOND = 60.0
+CHURN_OPS_PER_SECOND = 50.0
+CHURN_ROUNDS = 4            # replays of one op sequence from a fresh state
 CHURN_DELTA_EVERY = 5       # every 5th op is a GraphDelta
 CHURN_EDGE_CHANGES = 8      # edge adds and edge removals per delta
 CHURN_READ_NODES = 16
+#: Which task each churn op touches (the Zipf ranks and the draws) is
+#: part of the workload, like the served tasks: drawn from the seed it
+#: moved the misses of a run by 10 % from seed to seed.  ``--seed``
+#: drives the nodes read and the edges each delta adds and removes.
+CHURN_SEQUENCE_SEED = 0
 
 #: Bundle training (outside every measured process): a fixed seed, so
 #: one checkout serves one model whatever the workload seed is.
@@ -230,7 +247,7 @@ class MetaTrain(Workload):
                                 seed=self.seed)
         tasks = make_scenario("sgsc", DATASET, config)
         self.train_tasks, self.test_tasks = tasks.train, tasks.test
-        prefill(self.train_tasks + self.test_tasks)
+        prefill(self.train_tasks)
         self.model = build_model(self.train_tasks[0].features().shape[1],
                                  self.seed)
         self.model.train()
@@ -249,7 +266,7 @@ class MetaTrain(Workload):
         steps = max(ANSWER_ROUNDS,
                     int(round(STEPS_PER_SECOND * self.seconds)))
         durations: List[float] = []
-        answer_times: List[float] = []
+        answer_times = np.zeros((ANSWER_ROUNDS, len(self.test_tasks)))
         self.answers = []
         engine = CommunitySearchEngine(self.model)
         before = engine_counters(engine)
@@ -263,32 +280,40 @@ class MetaTrain(Workload):
                                         count, durations, order)
             self.losses += losses
             self.model.eval()
-            for task in self.test_tasks:
+            for index, task in enumerate(self.test_tasks):
+                prefill([task])
                 start = time.perf_counter()
                 predictions = engine.answer_task(
                     task, method=engine.native_method)
                 engine.detach(task)
-                answer_times.append(time.perf_counter() - start)
+                answer_times[round_index, index] = (time.perf_counter()
+                                                    - start)
+                # A hundred tasks' features are not all held at once.
+                task.invalidate_feature_caches()
                 self.answers.append((task, predictions))
         counters = counter_delta(before, engine_counters(engine))
         final = self.answers[-len(self.test_tasks):]
         f1 = [query_f1(p.members, p.ground_truth, p.query)
               for _, predictions in final for p in predictions]
         tasks_trained = steps * TASK_BATCH
+        # The model changes between rounds, the work of an answer does not.
+        best = answer_times.min(axis=0)
         return {
-            "ops": steps + len(answer_times),
-            "cost_s_per_op": ((sum(durations) + sum(answer_times))
-                              / (steps + len(answer_times))),
+            "ops": steps + answer_times.size,
+            "cost_s_per_op": ((sum(durations) + answer_times.sum())
+                              / (steps + answer_times.size)),
             "answer_f1": mean_f1(f1),
             "throughput_per_s": tasks_trained / sum(durations),
-            "latency_ms_p50": 1e3 * percentile(answer_times, 50),
-            "latency_ms_p90": 1e3 * percentile(answer_times, 90),
+            "latency_ms_p50": 1e3 * percentile(best, 50),
+            "latency_ms_p90": 1e3 * percentile(best, 90),
             "named": {
                 "train_tasks_per_s": tasks_trained / sum(durations),
                 "step_ms_p50": 1e3 * percentile(durations, 50),
-                "answer_ms_p50": 1e3 * percentile(answer_times, 50),
-                "answer_ms_p90": 1e3 * percentile(answer_times, 90),
-                "steps": steps, "answers": len(answer_times),
+                "answer_ms_p50": 1e3 * percentile(best, 50),
+                "answer_ms_p90": 1e3 * percentile(best, 90),
+                "answer_ms_p50_all_rounds": 1e3 * percentile(answer_times,
+                                                             50),
+                "steps": steps, "answers": int(answer_times.size),
             },
             "determinism": {"answer_f1": mean_f1(f1),
                             "final_loss": self.losses[-1],
@@ -315,18 +340,26 @@ class ServeBase(Workload):
     cache = HOT_CACHE
 
     def setup(self) -> None:
+        self.tasks = self.sample_tasks()
+        self.start_engine()
+        self.rng = make_rng(self.seed + 1)
+
+    def sample_tasks(self) -> List[Task]:
         dataset = load_dataset(DATASET)
         sampler = TaskSampler(dataset.graph, subgraph_nodes=SERVE_NODES,
                               num_support=SHOTS, num_query=QUERIES)
         rng = make_rng(SERVE_TASK_SEED)
-        self.tasks = [sampler.sample_task(rng, name=f"serve-{index}")
-                      for index in range(self.num_tasks)]
+        return [sampler.sample_task(rng, name=f"serve-{index}")
+                for index in range(self.num_tasks)]
+
+    def start_engine(self) -> None:
+        """A fresh engine over ``self.tasks`` with the first ``cache`` of
+        them attached and their contexts encoded."""
         self.engine = CommunitySearchEngine.from_bundle(
             self.bundle, dtype=SERVE_DTYPE, max_cached_contexts=self.cache)
         self.engine.attach_many(self.tasks[:self.cache])
         for task in self.tasks[:self.cache]:
             self.engine.predict_proba([task.queries[0].query], task)
-        self.rng = make_rng(self.seed + 1)
 
 
 class ServeHot(ServeBase):
@@ -526,17 +559,27 @@ class ServeHot(ServeBase):
 
 
 class ServeChurn(ServeBase):
-    """Writes beside reads over a working set twice the cache."""
+    """Writes beside reads over a working set twice the cache, as
+    ``CHURN_ROUNDS`` replays of one op sequence, each from a fresh copy
+    of the sampled tasks and a freshly warmed engine."""
 
     name = "serve_churn"
     num_tasks = CHURN_TASKS
     cache = CHURN_CACHE
 
+    def sample_tasks(self) -> List[Task]:
+        self.pristine = super().sample_tasks()
+        return [fresh_copy(task) for task in self.pristine]
+
     def setup(self) -> None:
         super().setup()
-        ranks = self.rng.permutation(self.num_tasks)
+        sequence_rng = make_rng(CHURN_SEQUENCE_SEED)
+        ranks = sequence_rng.permutation(self.num_tasks)
         weights = 1.0 / (ranks + 1.0)               # Zipf(1) popularity
-        self.popularity = weights / weights.sum()
+        self.count = max(CHURN_DELTA_EVERY, int(round(
+            CHURN_OPS_PER_SECOND * self.seconds / CHURN_ROUNDS)))
+        self.choices = sequence_rng.choice(self.num_tasks, size=self.count,
+                                           p=weights / weights.sum())
         self.mutated = set()
 
     def _delta(self, graph: Graph, rng) -> GraphDelta:
@@ -547,27 +590,78 @@ class ServeChurn(ServeBase):
         return GraphDelta(add_edges=add, remove_edges=remove)
 
     def run(self) -> Dict:
-        count = max(CHURN_DELTA_EVERY,
-                    int(round(CHURN_OPS_PER_SECOND * self.seconds)))
-        choices = self.rng.choice(self.num_tasks, size=count,
-                                  p=self.popularity)
-        reads: List[float] = []
-        deltas: List[float] = []
+        """The op sequence ``CHURN_ROUNDS`` times; an op's time is its
+        fastest round.  Every round must give the first round's answers
+        bitwise; ``answer_f1`` scores the first round."""
+        times = np.zeros((CHURN_ROUNDS, self.count))
+        is_delta = np.arange(self.count) % CHURN_DELTA_EVERY == (
+            CHURN_DELTA_EVERY - 1)
+        counters: Dict[str, float] = {}
         rows_repaired = 0
+        for round_index in range(CHURN_ROUNDS):
+            if round_index:
+                self.phase("reset")
+                self.engine = self.tasks = None     # free the last round's
+                self.tasks = [fresh_copy(task) for task in self.pristine]
+                self.start_engine()
+                self.phase("timed")
+            f1, digest, repaired, round_counters = self._round(
+                times[round_index])
+            if round_index == 0:
+                first_f1, first_digest = f1, digest
+                rows_repaired = repaired
+            self.check(digest == first_digest and repaired == rows_repaired,
+                       f"round {round_index}: answers or repairs differ "
+                       f"from round 0")
+            for key, value in round_counters.items():
+                counters[key] = counters.get(key, 0) + value
+        best = times.min(axis=0)
+        reads, deltas = best[~is_delta], best[is_delta]
+        answered = CHURN_READ_NODES * reads.size
+        return {
+            "ops": int(times.size),
+            "cost_s_per_op": float(times.mean()),
+            "answer_f1": mean_f1(first_f1),
+            "throughput_per_s": answered / best.sum(),
+            "latency_ms_p50": 1e3 * percentile(reads, 50),
+            "latency_ms_p90": 1e3 * percentile(reads, 90),
+            "named": {
+                "queries_per_s": answered / best.sum(),
+                "queries_per_s_all_rounds": (answered * CHURN_ROUNDS
+                                             / times.sum()),
+                "read_ms_p50": 1e3 * percentile(reads, 50),
+                "read_ms_p90": 1e3 * percentile(reads, 90),
+                "read_ms_p99": 1e3 * percentile(reads, 99),
+                "delta_ms_p50": 1e3 * percentile(deltas, 50),
+                "delta_ms_p90": 1e3 * percentile(deltas, 90),
+                "reads": int(reads.size), "deltas": int(deltas.size),
+                "round_s": times.sum(axis=1).tolist(),
+            },
+            "determinism": {"answer_f1": mean_f1(first_f1),
+                            "rows_repaired": rows_repaired,
+                            **{k: counters[k] for k in
+                               ("hits", "misses", "encoded", "dirtied",
+                                "evicted", "deltas")}},
+            "counters": counters,
+        }
+
+    def _round(self, times: np.ndarray):
+        """One pass over the op sequence, each op's time into ``times``."""
         f1: List[float] = []
-        answered = 0
+        digest = hashlib.sha256()
+        rows_repaired = 0
         before = engine_counters(self.engine)
-        begin = time.perf_counter()
-        for position in range(count):
-            task = self.tasks[int(choices[position])]
+        for position in range(self.count):
+            index = int(self.choices[position])
+            task = self.tasks[index]
             op_rng = make_rng([self.seed, position])
             if position % CHURN_DELTA_EVERY == CHURN_DELTA_EVERY - 1:
                 delta = self._delta(task.graph, op_rng)
                 start = time.perf_counter()
                 report = self.engine.apply_delta(delta, task=task)
-                deltas.append(time.perf_counter() - start)
+                times[position] = time.perf_counter() - start
                 rows_repaired += int(report.rows_repaired)
-                self.mutated.add(int(choices[position]))
+                self.mutated.add(index)
                 continue
             picked = op_rng.choice(len(task.queries), size=CHURN_READ_NODES,
                                    replace=False)
@@ -575,35 +669,14 @@ class ServeChurn(ServeBase):
             start = time.perf_counter()
             result = self.engine.query([e.query for e in examples],
                                        task=task)
-            reads.append(time.perf_counter() - start)
-            answered += len(examples)
-            f1.extend(query_f1(result[e.query], e.membership, e.query)
-                      for e in examples)
-        wall = time.perf_counter() - begin
+            times[position] = time.perf_counter() - start
+            for example in examples:
+                members = result[example.query]
+                digest.update(members.tobytes())
+                f1.append(query_f1(members, example.membership,
+                                   example.query))
         counters = counter_delta(before, engine_counters(self.engine))
-        return {
-            "ops": count,
-            "cost_s_per_op": wall / count,
-            "answer_f1": mean_f1(f1),
-            "throughput_per_s": answered / wall,
-            "latency_ms_p50": 1e3 * percentile(reads, 50),
-            "latency_ms_p90": 1e3 * percentile(reads, 90),
-            "named": {
-                "queries_per_s": answered / wall,
-                "read_ms_p50": 1e3 * percentile(reads, 50),
-                "read_ms_p90": 1e3 * percentile(reads, 90),
-                "read_ms_p99": 1e3 * percentile(reads, 99),
-                "delta_ms_p50": 1e3 * percentile(deltas, 50),
-                "delta_ms_p90": 1e3 * percentile(deltas, 90),
-                "reads": len(reads), "deltas": len(deltas),
-            },
-            "determinism": {"answer_f1": mean_f1(f1),
-                            "rows_repaired": rows_repaired,
-                            **{k: counters[k] for k in
-                               ("hits", "misses", "encoded", "dirtied",
-                                "evicted", "deltas")}},
-            "counters": counters,
-        }
+        return f1, digest.hexdigest(), rows_repaired, counters
 
     def checks(self) -> None:
         """Each mutated task against a cold rebuild from its final edges."""
@@ -613,13 +686,10 @@ class ServeChurn(ServeBase):
         dtype = checker.dtype
         for index in sorted(self.mutated):
             task = self.tasks[index]
-            graph = task.graph
-            cold = Graph(graph.num_nodes, np.array(graph.edges),
-                         attributes=np.array(graph.attributes),
-                         communities=graph.communities, name=graph.name,
-                         parent_nodes=graph.parent_nodes)
-            repaired_ops, cold_ops = graph_ops(graph, dtype), graph_ops(
-                cold, dtype)
+            cold_task = fresh_copy(task)
+            cold_task.name = f"{task.name}-cold"
+            repaired_ops, cold_ops = graph_ops(task.graph, dtype), graph_ops(
+                cold_task.graph, dtype)
             same = all(
                 _same_csr(getattr(repaired_ops, name), getattr(cold_ops, name))
                 for name in ("norm_adj", "row_norm_adj", "row_norm_adj_t"))
@@ -629,13 +699,22 @@ class ServeChurn(ServeBase):
                 for name in ("edge_src", "edge_dst"))
             self.check(same, f"{task.name}: repaired operators differ from "
                        f"a cold rebuild")
-            cold_task = Task(cold, task.support, task.queries,
-                             name=f"{task.name}-cold")
             queries = [example.query for example in task.queries]
             live = checker.predict_proba(queries, task)
             rebuilt = checker.predict_proba(queries, cold_task)
             self.check(live.tobytes() == rebuilt.tobytes(),
                        f"{task.name}: answers differ from a cold rebuild")
+
+
+def fresh_copy(task: Task) -> Task:
+    """``task`` over a new graph built from copies of its arrays, with no
+    caches filled."""
+    graph = task.graph
+    copy = Graph(graph.num_nodes, np.array(graph.edges),
+                 attributes=np.array(graph.attributes),
+                 communities=graph.communities, name=graph.name,
+                 parent_nodes=graph.parent_nodes)
+    return Task(copy, task.support, task.queries, name=task.name)
 
 
 def _same_csr(a, b) -> bool:
