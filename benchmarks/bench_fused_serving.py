@@ -7,7 +7,7 @@ documents the overhead floor; CI regenerates it on multi-core):
 
 * **fused encode/serving throughput** — the deploy-once/query-many hot
   path (attach a session, answer query batches) with the fused
-  inference policy on vs off, same backend both ways.  Fusion buys two
+  inference policy on vs off.  Fusion buys two
   things: every ``spmm → + bias → activation`` triple runs as ONE
   kernel pass (one output walk instead of three), and multi-shot
   context encoding folds the final encoder layer with the ⊕ reduction
@@ -47,8 +47,7 @@ from conftest import peak_rss_bytes
 from repro.api import CommunitySearchEngine, ModelBundle
 from repro.core import CGNP, CGNPConfig, task_batch_loss
 from repro.datasets import clear_cache, load_dataset
-from repro.nn.backend import (available_backends, fused_inference,
-                              make_backend, precision, use_backend)
+from repro.nn.backend import fused_inference, get_backend, precision
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.tasks import ScenarioConfig, TaskSampler, make_scenario
 from repro.utils import make_rng
@@ -143,8 +142,8 @@ def build_serving_fixture(params: Dict, conv: str, seed: int = 0):
 # ---------------------------------------------------------------------------
 # Fused vs unfused serving throughput
 # ---------------------------------------------------------------------------
-def time_fused_serving(bundle: ModelBundle, serve_tasks, params: Dict,
-                       backend) -> Dict:
+def time_fused_serving(bundle: ModelBundle, serve_tasks,
+                       params: Dict) -> Dict:
     """The deploy-once/query-many loop, fused policy off vs on.
 
     Each round cold-attaches every session (``refresh=True`` — the
@@ -159,7 +158,7 @@ def time_fused_serving(bundle: ModelBundle, serve_tasks, params: Dict,
                for _ in range(params["serve_rounds"])]
     results: Dict[str, Dict] = {}
     probabilities = {}
-    with use_backend(backend), precision("float32"):
+    with precision("float32"):
         for label, enabled in (("unfused", False), ("fused", True)):
             with fused_inference(enabled):
                 engine = CommunitySearchEngine.from_bundle(bundle,
@@ -260,17 +259,14 @@ def measure_context_storage(bundle: ModelBundle, serve_tasks,
                 / per_width["full"]["contexts_at_full_budget"])}
 
 
-def run_benchmark(params: Dict, out_path: str,
-                  backend_name: str = "auto") -> Dict:
+def run_benchmark(params: Dict, out_path: str) -> Dict:
     cpus = cpu_count()
-    backend = make_backend(backend_name)
-    print(f"[bench_fused_serving] {cpus} CPU(s) visible; backend "
-          f"'{backend_name}' resolves to {backend.name}")
+    print(f"[bench_fused_serving] {cpus} CPU(s) visible")
 
     record: Dict = {
         "benchmark": "fused_serving_vs_unfused",
         "cpu_count": cpus,
-        "backend": backend.name,
+        "backend": get_backend().name,
         "config": dict(params, scenario="sgsc", decoder="ip",
                        dtype="float32"),
         "convs": {},
@@ -280,7 +276,7 @@ def run_benchmark(params: Dict, out_path: str,
         bundle, serve_tasks = build_serving_fixture(params, conv)
         print(f"-- fused vs unfused serving ({conv})")
         record["convs"][conv] = time_fused_serving(bundle, serve_tasks,
-                                                   params, backend)
+                                                   params)
     print("-- compact context cache (gcn fixture)")
     bundle, serve_tasks = build_serving_fixture(params, "gcn")
     record["context_storage"] = measure_context_storage(bundle, serve_tasks,
@@ -297,19 +293,12 @@ def run_benchmark(params: Dict, out_path: str,
     if cpus < 2:
         record["note"] = (
             f"measured on a {cpus}-CPU machine: the unfused baseline is "
-            f"not memory-bandwidth-bound here and the auto backend "
-            f"resolves to numpy, so the fused ratios record the "
-            f"single-core floor.  The >=1.3x serving bar applies on 2+ "
-            f"CPUs (CI's bench-multicore job regenerates this record "
-            f"there).")
+            f"not memory-bandwidth-bound here, so the fused ratios "
+            f"record the single-core floor.  The >=1.3x serving bar "
+            f"applies on 2+ CPUs (CI's bench-multicore job regenerates "
+            f"this record there).")
         print("  NOTE: single-CPU machine — recording the single-core "
               "floor; CI regenerates this record on multi-core.")
-    if not available_backends()["numba"]:
-        record["numba_note"] = (
-            "numba wheel not installed in this environment: the fused "
-            "JIT kernels (spmm_bias_act_rows/_blocks, bias_act_2d) were "
-            "exercised only through their tested numpy-fallback path; "
-            "CI's numba matrix entry runs them compiled.")
     record["peak_rss_bytes"] = peak_rss_bytes()
     with open(out_path, "w") as handle:
         json.dump(record, handle, indent=2)
@@ -354,13 +343,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true",
                         help="CI-sized config (seconds, not minutes)")
-    parser.add_argument("--backend", default="auto",
-                        help="backend for both sides of the comparison")
     parser.add_argument("--out", default=DEFAULT_OUT,
                         help="perf-record JSON path")
     args = parser.parse_args()
     params = dict(TINY if args.tiny else SMOKE)
-    run_benchmark(params, out_path=args.out, backend_name=args.backend)
+    run_benchmark(params, out_path=args.out)
     return 0
 
 

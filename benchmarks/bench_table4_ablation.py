@@ -7,8 +7,10 @@ fixed to GAT), as in section VII-E.
 Shape targets: GAT/SAGE encoders beat plain GCN; the spread across ⊕
 choices is smaller than the spread across encoder choices.
 
-Beyond the paper, a second axis ablates the structural input features
-(core number + local clustering coefficient), which DESIGN.md calls out.
+Beyond the paper's Table IV (arXiv 2201.00288), a second axis ablates the
+structural input features (core number + local clustering coefficient,
+built by ``repro.graph.features.node_feature_matrix``; the layer map in
+docs/ARCHITECTURE.md places it).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import MethodSpec, create_method
 from repro.eval import (
-    build_method,
     evaluate_method,
     format_metric_table,
     run_ablation,
@@ -53,7 +55,7 @@ def test_table4_layer_and_commutative_op(benchmark, profile):
 
 @pytest.mark.benchmark(group="table4-ablation")
 def test_structural_feature_ablation(benchmark, profile):
-    """Extra ablation: core#/LCC channels on vs off (DESIGN.md §5)."""
+    """Extra ablation beyond Table IV: core#/LCC channels on vs off."""
     config = ScenarioConfig(
         num_train_tasks=profile.num_train_tasks,
         num_valid_tasks=profile.num_valid_tasks,
@@ -70,7 +72,8 @@ def test_structural_feature_ablation(benchmark, profile):
             for task in tasks.train + tasks.valid + tasks.test:
                 task.use_structural = use_structural
                 task._features = None  # invalidate cache
-            method = build_method("CGNP-IP", profile, seed=3)
+            method = create_method(
+                MethodSpec.from_profile("CGNP-IP", profile, seed=3))
             method.name = f"CGNP-IP[{label}]"
             outcomes.append(evaluate_method(method, tasks,
                                             np.random.default_rng(3)))

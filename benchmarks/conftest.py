@@ -1,7 +1,9 @@
 """Shared configuration for the benchmark suite.
 
-Every bench regenerates one table or figure of the paper (see DESIGN.md §3)
-and times a representative unit of work with pytest-benchmark.  The scale is
+Every bench regenerates one table or figure of the paper ("Community
+Search: A Meta-Learning Approach", arXiv 2201.00288, Tables II–IV and
+Figs. 3–5; ``repro.eval.experiments`` maps each to its builder) and
+times a representative unit of work with pytest-benchmark.  The scale is
 controlled by the ``REPRO_BENCH_PROFILE`` environment variable:
 
 * ``smoke`` (default) — minutes on CPU; method *ordering* is preserved;
@@ -57,7 +59,8 @@ def peak_rss_bytes() -> int:
 def print_paper_shape_note() -> None:
     print(
         "\nNOTE: absolute numbers come from the synthetic substrate "
-        "(see DESIGN.md §1); compare *shapes* — who wins, by how much, "
-        "where crossovers fall — against the paper values recorded in "
-        "EXPERIMENTS.md."
+        "(repro.datasets, see docs/ARCHITECTURE.md); compare *shapes* — "
+        "who wins, by how much, where crossovers fall — against the "
+        "paper's Tables II–IV (arXiv 2201.00288), recorded in "
+        "repro.eval.PAPER_REFERENCE_F1."
     )

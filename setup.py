@@ -18,7 +18,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy", "scipy", "networkx"],
-    # The JIT kernel backend is strictly optional: the default install
-    # never imports numba (see repro.nn.backend.make_backend gating).
-    extras_require={"numba": ["numba"]},
 )

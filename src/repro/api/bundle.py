@@ -89,8 +89,10 @@ class ModelBundle:
         default to ``"int64"``, the pre-policy behaviour.
     backend:
         :attr:`~repro.nn.backend.ArrayBackend.name` of the backend active
-        when the bundle was written (``"numpy"``/``"threaded"``/custom).
-        Provenance only; legacy headers default to ``"numpy"``.
+        when the bundle was written (``"numpy"`` or a substitute's name).
+        Provenance only: any recorded name loads and answers the same,
+        including names of backends this version no longer ships.
+        Legacy headers default to ``"numpy"``.
     version:
         Header format version this bundle was read from / written at.
 

@@ -232,9 +232,9 @@ class CommunitySearchEngine:
 
     **Thread safety.**  Every public method is atomic: one re-entrant
     lock guards the context LRU, the stats counters and the decode pass
-    itself, so multi-threaded or async callers can share one engine
-    without corrupting the ``OrderedDict`` or losing counter increments
-    — calls serialise rather than interleave (the autograd tape switch
+    itself, so callers on several threads or async tasks can share one
+    engine without corrupting the ``OrderedDict`` or losing counter
+    increments — calls serialise rather than interleave (the autograd tape switch
     is process-global, so concurrent forwards would be unsafe anyway).
     ``stats()`` returns an isolated snapshot and may be called from any
     thread at any time; for *concurrent* request handling put the

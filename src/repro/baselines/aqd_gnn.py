@@ -6,7 +6,7 @@ whose representations are fused before prediction.  The paper deploys it
 per test task: "AQD-GNN trains the model from scratch by the few-shot data
 in S* and tests in Q*".
 
-Our reimplementation (simplification documented in DESIGN.md) keeps the
+Our reimplementation (a simplification) keeps the
 architectural essence within this codebase's substrate:
 
 * a **graph encoder** GNN over ``[I_q(v) ‖ features]``;

@@ -6,7 +6,7 @@ standard **first-order** approximation (FOMAML): the outer update applies
 the query-set gradient evaluated at the task-adapted parameters directly
 to the meta parameters, skipping the second-order term.  The paper itself
 motivates first-order methods ("to alleviate the computational overhead,
-Reptile ...") and our substitution is documented in DESIGN.md; the
+Reptile ..."), which is the case for this substitution; the
 qualitative behaviour — unstable adaptation and all-negative collapse on
 imbalanced few-shot tasks — is preserved.
 

@@ -42,8 +42,7 @@ import numpy as np
 
 from .api import CommunitySearchEngine, ModelBundle, available_methods
 from .core import CGNP, CGNPConfig, MetaTrainConfig, meta_train
-from .nn.backend import (available_backends, index_precision, make_backend,
-                         precision, use_backend)
+from .nn.backend import index_precision, precision
 from .datasets import dataset_names, load_dataset
 from .eval import (
     PROFILES,
@@ -65,25 +64,13 @@ __all__ = ["main", "build_parser"]
 DEPRECATED_QUERY_FLAGS = ("hidden_dim", "layers", "conv", "decoder")
 
 
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    """The execution-policy flags shared by ``train`` and ``query``.
+def _add_index_flag(parser: argparse.ArgumentParser) -> None:
+    """The ``--index-dtype`` policy flag shared by the model commands.
 
-    Defaults are ``None`` — an omitted flag keeps the ambient process
-    policy (``REPRO_BACKEND`` / ``REPRO_INDEX_DTYPE``, falling back to
-    numpy / int32), so the environment knobs stay effective on the CLI.
+    The default is ``None`` — an omitted flag keeps the ambient process
+    policy (``REPRO_INDEX_DTYPE``, falling back to int32), so the
+    environment knob stays effective on the CLI.
     """
-    parser.add_argument("--backend", default=None,
-                        choices=list(available_backends()),
-                        help="array backend executing the sparse/dense "
-                             "kernels ('threaded' partitions spmm row "
-                             "ranges across a thread pool; 'numba' "
-                             "JIT-compiles the spmm and GAT edge-path "
-                             "loops and needs the optional numba wheel — "
-                             "see `repro backends`; default: the "
-                             "REPRO_BACKEND policy, i.e. numpy)")
-    parser.add_argument("--num-threads", type=int, default=None,
-                        help="worker count for --backend threaded/numba "
-                             "(default: all cores)")
     parser.add_argument("--index-dtype", default=None,
                         choices=["int32", "int64"],
                         help="width of edge lists, CSR structure and "
@@ -131,26 +118,13 @@ def _shard_task(task, args: argparse.Namespace):
                 use_structural=task.use_structural)
 
 
-def _policy_scopes(args: argparse.Namespace) -> List:
-    """Context managers for the requested backend/index overrides.
-
-    Flags left at ``None`` contribute nothing, keeping the ambient
-    process policies in force.  Raises ``ValueError`` on inconsistent
-    combinations (``--num-threads`` without ``--backend threaded``).
-    """
-    scopes: List = []
-    if args.num_threads is not None and args.backend not in ("threaded",
-                                                             "numba"):
-        raise ValueError(
-            "--num-threads only applies to --backend threaded or numba")
-    if args.backend is not None:
-        options = {}
-        if args.num_threads is not None:
-            options["num_threads"] = args.num_threads
-        scopes.append(use_backend(make_backend(args.backend, **options)))
-    if args.index_dtype is not None:
-        scopes.append(index_precision(args.index_dtype))
-    return scopes
+def _index_scope(
+        args: argparse.Namespace) -> contextlib.AbstractContextManager:
+    """The requested ``--index-dtype`` override as a context manager; an
+    omitted flag keeps the ambient process policy in force."""
+    if args.index_dtype is None:
+        return contextlib.nullcontext()
+    return index_precision(args.index_dtype)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="list the registered datasets")
     sub.add_parser("methods", help="list the registered methods")
-    sub.add_parser("backends",
-                   help="list the array backends and whether each is "
-                        "installed (optional backends like numba report "
-                        "their install hint instead of erroring)")
 
     run = sub.add_parser("run", help="run an effectiveness experiment")
     run.add_argument("--scenario", default="sgsc",
@@ -245,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "bundle header and provenance; float64 matches "
                             "the paper-exact numerics, float32 roughly "
                             "doubles spmm/matmul throughput)")
-    _add_backend_flags(train)
+    _add_index_flag(train)
     _add_shard_flags(train)
 
     query = sub.add_parser("query", help="answer queries with a saved bundle")
@@ -275,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "REPRO_CONTEXT_STORAGE policy, i.e. 'full'); "
                             "float16/int8 fit 2-8x more task sessions in "
                             "the same cache RAM")
-    _add_backend_flags(query)
+    _add_index_flag(query)
     _add_shard_flags(query)
     # Deprecated no-ops: the architecture now travels inside the bundle.
     # Still accepted (and used as a fallback for legacy weight-only files)
@@ -341,7 +311,7 @@ def _add_serving_fixture_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-tick-requests", type=int, default=None,
                         help="cap on requests coalesced per tick "
                              "(default: unlimited)")
-    _add_backend_flags(parser)
+    _add_index_flag(parser)
     _add_shard_flags(parser)
 
 
@@ -374,26 +344,6 @@ def _cmd_methods() -> int:
     print(format_generic_table(
         ["Method", "Kind", "Class"], rows,
         title="Registered community-search methods", float_format="{}"))
-    return 0
-
-
-def _cmd_backends() -> int:
-    """List backends with availability, probed without try/except.
-
-    Exit code 0 either way — CI uses this to *report*, and probes a
-    specific backend with ``available_backends()[name]`` directly.
-    """
-    rows = []
-    for name, installed in available_backends().items():
-        # The registry key is not necessarily a pip package name, so the
-        # precise install hint comes from make_backend's ImportError.
-        status = ("installed" if installed
-                  else "missing (optional dependency; selecting it "
-                       "prints the install hint)")
-        rows.append([name, status])
-    print(format_generic_table(
-        ["Backend", "Status"], rows,
-        title="Registered array backends", float_format="{}"))
     return 0
 
 
@@ -479,19 +429,10 @@ def _cmd_select_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    try:
-        scopes = _policy_scopes(args)
-    except (ValueError, ImportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(precision(args.dtype))
-        for scope in scopes:
-            stack.enter_context(scope)
+    with precision(args.dtype), _index_scope(args):
         # The whole pipeline — task materialisation, model init, training —
         # runs under the requested policies, so a float32/int32 run never
-        # touches a float64 array or an int64 index, and every kernel
-        # dispatches through the chosen backend.
+        # touches a float64 array or an int64 index.
         config = ScenarioConfig(
             num_train_tasks=args.tasks, num_valid_tasks=max(args.tasks // 4, 1),
             num_test_tasks=1, subgraph_nodes=args.subgraph_nodes,
@@ -510,7 +451,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                                            task_batch_size=args.task_batch_size),
                            rng, valid_tasks=tasks.valid)
         # Snapshot inside the policy scopes so the bundle header records
-        # the backend and index width the run actually executed under.
+        # the index width the run actually executed under.
         bundle = ModelBundle.from_model(model, provenance={
             "dataset": args.dataset,
             "scenario": args.scenario,
@@ -554,19 +495,12 @@ def _legacy_config(args: argparse.Namespace) -> CGNPConfig:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     _warn_deprecated_query_flags(args)
-    try:
-        scopes = _policy_scopes(args)
-    except (ValueError, ImportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with contextlib.ExitStack() as stack:
-        for scope in scopes:
-            stack.enter_context(scope)
+    with _index_scope(args):
         return _run_query(args)
 
 
 def _run_query(args: argparse.Namespace) -> int:
-    """The ``query`` body; runs under the selected backend/index policy."""
+    """The ``query`` body; runs under the selected index policy."""
     dataset = load_dataset(args.dataset, scale=args.scale)
     graph = dataset.graph
     if args.scenario == "temporal":
@@ -681,14 +615,7 @@ def _gateway_config(args: argparse.Namespace) -> GatewayConfig:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    try:
-        scopes = _policy_scopes(args)
-    except (ValueError, ImportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with contextlib.ExitStack() as stack:
-        for scope in scopes:
-            stack.enter_context(scope)
+    with _index_scope(args):
         fixture = _serving_fixture(args)
         if fixture is None:
             return 2
@@ -721,18 +648,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     try:
-        scopes = _policy_scopes(args)
         rates = [float(r) for r in args.rates.split(",") if r.strip()]
-    except (ValueError, ImportError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not rates:
         print("error: --rates must name at least one arrival rate",
               file=sys.stderr)
         return 2
-    with contextlib.ExitStack() as stack:
-        for scope in scopes:
-            stack.enter_context(scope)
+    with _index_scope(args):
         fixture = _serving_fixture(args)
         if fixture is None:
             return 2
@@ -765,8 +689,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "datasets":
         return _cmd_datasets()
-    if args.command == "backends":
-        return _cmd_backends()
     if args.command == "methods":
         return _cmd_methods()
     if args.command == "run":

@@ -8,7 +8,7 @@ largest graphs), number of ground-truth communities, and attribute
 dimensionality — using the degree-corrected planted-partition and ego-net
 models from :mod:`repro.graph.generators`.
 
-Scale-down note (documented in DESIGN.md): experiments only ever operate on
+Scale-down note: experiments only ever operate on
 200-node BFS-sampled task subgraphs, so what matters is the *local*
 structure, which the generators preserve.  Default scales:
 

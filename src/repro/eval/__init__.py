@@ -13,9 +13,7 @@ from .experiments import (
     PAPER_REFERENCE_F1,
     PROFILES,
     ExperimentProfile,
-    build_method,
     build_methods,
-    method_spec,
     run_ablation,
     run_effectiveness,
     run_groundtruth_sweep,
@@ -52,9 +50,7 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "ExperimentProfile",
     "PROFILES",
-    "build_method",
     "build_methods",
-    "method_spec",
     "ALL_METHOD_NAMES",
     "CORE_METHOD_NAMES",
     "run_effectiveness",

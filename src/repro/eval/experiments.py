@@ -23,7 +23,6 @@ ordering, which is what the reproduction checks, is preserved.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,8 +37,6 @@ from .store import ResultsStore
 __all__ = [
     "ExperimentProfile",
     "PROFILES",
-    "method_spec",
-    "build_method",
     "build_methods",
     "ALL_METHOD_NAMES",
     "run_effectiveness",
@@ -106,36 +103,6 @@ CORE_METHOD_NAMES = (
     "CTC", "MAML", "Reptile", "FeatTrans", "GPN", "Supervised",
     "ICS-GNN", "AQD-GNN", "CGNP-IP", "CGNP-MLP", "CGNP-GNN",
 )
-
-
-def method_spec(name: str, profile: ExperimentProfile, seed: int = 0,
-                conv: str = "gat", aggregator: str = "sum") -> MethodSpec:
-    """Deprecated alias of :meth:`MethodSpec.from_profile`.
-
-    The profile → spec translation now lives on the spec itself so the
-    registry is the single method-construction entry point; this wrapper
-    survives one release for external callers.
-    """
-    warnings.warn(
-        "repro.eval.experiments.method_spec is deprecated; use "
-        "MethodSpec.from_profile(name, profile, ...) from repro.api.registry",
-        DeprecationWarning, stacklevel=2)
-    return MethodSpec.from_profile(name, profile, seed=seed, conv=conv,
-                                   aggregator=aggregator)
-
-
-def build_method(name: str, profile: ExperimentProfile, seed: int = 0,
-                 conv: str = "gat", aggregator: str = "sum") -> CommunitySearchMethod:
-    """Deprecated: use ``create_method(MethodSpec.from_profile(...))``.
-
-    Kept for one release; dispatch has always gone through
-    :mod:`repro.api.registry`, and now the spec translation does too.
-    """
-    warnings.warn(
-        "repro.eval.experiments.build_method is deprecated; use "
-        "create_method(MethodSpec.from_profile(name, profile, ...))",
-        DeprecationWarning, stacklevel=2)
-    return _build(name, profile, seed=seed, conv=conv, aggregator=aggregator)
 
 
 def _build(name: str, profile: ExperimentProfile, seed: int = 0,
@@ -313,8 +280,8 @@ def run_groundtruth_sweep(scenario: str, dataset: str, profile: ExperimentProfil
     return results
 
 
-#: Key F1 cells of Tables II/III (paper values) for side-by-side reporting
-#: in EXPERIMENTS.md and the bench output.  Layout:
+#: Key F1 cells of Tables II/III (paper values, arXiv 2201.00288) for
+#: side-by-side reporting in the bench output.  Layout:
 #: {(dataset, scenario, shots): {method: f1}}.
 PAPER_REFERENCE_F1: Dict[Tuple[str, str, int], Dict[str, float]] = {
     ("citeseer", "sgsc", 1): {"CGNP-IP": 0.6734, "CGNP-MLP": 0.6523,

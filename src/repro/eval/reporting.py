@@ -2,7 +2,8 @@
 
 The benchmark harness prints these tables so a run of
 ``pytest benchmarks/ --benchmark-only -s`` regenerates every row the paper
-reports (shape-wise; the substrate is synthetic, see EXPERIMENTS.md).
+reports (shape-wise; the substrate is synthetic, see
+:mod:`repro.datasets.synthetic`).
 """
 
 from __future__ import annotations

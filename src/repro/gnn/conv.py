@@ -338,11 +338,11 @@ class GCNConv(Module):
     def fused_forward(self, x: Tensor, ops: GraphOps,
                       act: Optional[str] = None) -> Tensor:
         """Inference-only forward with bias + activation fused into the
-        spmm (one CSR pass instead of three output walks).
+        spmm (the epilogue runs in place on the spmm's fresh output).
 
         Never taped — callers must hold ``no_grad()``; the encoder's
         dispatch guarantees it.  Bitwise-identical to ``forward``
-        followed by the activation on the numpy/threaded backends.
+        followed by the activation.
         """
         h = x.matmul(self.weight)
         bias = None if self.bias is None else self.bias.data

@@ -220,8 +220,7 @@ class GNNEncoder(Module):
         **reused arena buffer**: copy out anything that must survive the
         next encode.  Raises if called in training mode or under a
         gradient tape; never uses the fused-fold approximation, so the
-        output matches the unfused dense forward bitwise on the
-        numpy/threaded backends.
+        output matches the unfused dense forward bitwise.
         """
         if self.training or is_grad_enabled():
             raise RuntimeError(

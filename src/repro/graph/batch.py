@@ -48,9 +48,7 @@ def stack_csr(blocks: Sequence[sp.csr_matrix],
 
     ``index_dtype`` fixes the result's structure width (default: the
     ambient index policy, int32), widened to int64 only when the stacked
-    totals genuinely overflow it.  The block layout is recorded on the
-    matrix as ``block_offsets`` — the row-partition hint
-    :class:`~repro.nn.backend.ThreadedBackend` aligns its spmm chunks to.
+    totals genuinely overflow it.
     """
     if not blocks:
         raise ValueError("stack_csr needs at least one block")
@@ -77,7 +75,6 @@ def stack_csr(blocks: Sequence[sp.csr_matrix],
     # duplicates), so build without scipy's per-instance validation pass.
     stacked = sp.csr_matrix((total, total))
     stacked.data, stacked.indices, stacked.indptr = data, indices, indptr
-    stacked.block_offsets = node_offsets
     return stacked
 
 

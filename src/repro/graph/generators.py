@@ -1,9 +1,10 @@
 """Random graph generators with planted community ground truth.
 
 These generators are the synthetic substitutes for the paper's public
-datasets (see DESIGN.md §1).  The key model is a degree-corrected planted
-partition: nodes are divided into communities, edges are sampled densely
-inside communities and sparsely between them, and node degrees follow a
+datasets (the scale table in :mod:`repro.datasets.synthetic` lists
+them).  The key model is a degree-corrected planted partition: nodes
+are divided into communities, edges are sampled densely inside
+communities and sparsely between them, and node degrees follow a
 heavy-tailed distribution so the synthetic graphs share the skew of real
 social/citation networks.  Attributes, when requested, are one-hot keyword
 bags whose active entries are biased toward community-specific vocabulary,

@@ -30,19 +30,11 @@ numerical choices that used to be hardwired all over the stack:
   :class:`ArrayBackend` protocol gathers the operations the autograd
   engine actually dispatches — dense matmul, sparse-dense matmul, the
   gather / scatter-add / segment-softmax edge ops of the GAT path, array
-  creation, RNG construction — behind one object.  The default
-  :class:`NumpyBackend` runs on NumPy + SciPy; :class:`ThreadedBackend`
-  partitions spmm row ranges across a reusable thread pool (SciPy's CSR
-  kernels release the GIL, so the partitions genuinely run in parallel
-  on multi-core machines); :class:`NumbaBackend` JIT-compiles the spmm
-  and edge-path hot loops (:mod:`repro.nn.kernels_numba`, imported
-  lazily so the default install never needs the numba wheel).  Backends
-  are installed with :func:`set_backend` / ``with use_backend(...)`` —
-  both accept a registered name (``"numpy"``, ``"threaded"``,
-  ``"numba"``) or an instance — and the process default comes from the
-  ``REPRO_BACKEND`` environment variable.  :func:`available_backends`
-  maps every registered name to whether its dependencies are installed,
-  so callers can probe optional backends without try/except.
+  creation, RNG construction — behind one object.  :class:`NumpyBackend`
+  (NumPy + SciPy) is the one implementation and the process default.
+  The seam lets a caller substitute an instance with
+  :func:`set_backend` / ``with use_backend(...)`` — tests install
+  counting or renamed refinements of :class:`NumpyBackend` this way.
 
 Cache-key convention
 --------------------
@@ -58,9 +50,8 @@ drops every dtype variant of the family at once.
 'float32'
 >>> resolve_index_dtype("int64").name
 'int64'
->>> with use_backend("threaded"):
-...     get_backend().name
-'threaded'
+>>> get_backend().name
+'numpy'
 """
 
 from __future__ import annotations
@@ -68,16 +59,10 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-
-try:  # SciPy's raw CSR kernels (the same ones ``A @ X`` dispatches to).
-    from scipy.sparse import _sparsetools as _csr_kernels
-except ImportError:  # pragma: no cover - exercised only on exotic SciPy
-    _csr_kernels = None
 
 __all__ = [
     "SUPPORTED_DTYPES",
@@ -104,12 +89,6 @@ __all__ = [
     "as_index_array",
     "ArrayBackend",
     "NumpyBackend",
-    "ThreadedBackend",
-    "NumbaBackend",
-    "available_backends",
-    "backend_names",
-    "register_backend",
-    "make_backend",
     "get_backend",
     "set_backend",
     "use_backend",
@@ -129,8 +108,7 @@ SUPPORTED_CONTEXT_STORAGE = ("full", "float32", "float16", "int8")
 
 #: The activation epilogues the fused kernels understand.  ``relu`` is
 #: bitwise against ``np.maximum(x, 0.0)``; ``elu`` matches
-#: :func:`repro.nn.functional.elu` exactly on the numpy path and to
-#: ≤1e-12 relative on JIT paths (transcendental ulps).
+#: :func:`repro.nn.functional.elu` exactly.
 FUSED_ACTIVATIONS = (None, "relu", "elu")
 
 DTypeLike = Union[str, type, np.dtype, "Precision"]
@@ -531,13 +509,11 @@ class ArrayBackend:
     """Protocol for the dense/sparse kernels the autograd engine dispatches.
 
     The base class documents the surface; :class:`NumpyBackend` is the
-    reference implementation and :class:`ThreadedBackend` the parallel
-    one.  An alternative backend subclasses this, overrides the kernels
-    it accelerates, and is installed via :func:`set_backend`
-    (process-wide) or ``with use_backend(...)`` (scoped).  All methods
-    take and return numpy-compatible arrays so backends can be swapped
-    without touching the layers above.  See ``docs/backends.md`` for a
-    walkthrough of writing one.
+    implementation.  A substitute subclasses it, overrides the kernels
+    it changes, and is installed via :func:`set_backend` (process-wide)
+    or ``with use_backend(...)`` (scoped).  All methods take and return
+    numpy-compatible arrays so a substitute never touches the layers
+    above.  See ``docs/backends.md``.
 
     >>> class NegatingBackend(NumpyBackend):
     ...     name = "negating"
@@ -576,10 +552,9 @@ class ArrayBackend:
         ``bias`` broadcasts over rows (or is ``None``); ``act`` is one of
         :data:`FUSED_ACTIVATIONS`.  The input is never mutated.  Numerics
         contract: bitwise-identical to the unfused ``x + bias`` followed
-        by the reference activation on the numpy path; JIT backends may
-        differ on the ``elu`` transcendental by ulps (≤1e-12 relative).
-        Serves the inference-mode epilogue of layers whose main kernel is
-        dense (GAT's head combination, SAGE's linear mix).
+        by the reference activation.  Serves the inference-mode epilogue
+        of layers whose main kernel is dense (GAT's head combination,
+        SAGE's linear mix).
         """
         raise NotImplementedError
 
@@ -593,14 +568,12 @@ class ArrayBackend:
                       act: Optional[str] = None) -> np.ndarray:
         """Fused ``act(matrix @ dense + bias)`` — one pass over the CSR.
 
-        The serving hot path of the GCN layer: the unfused form walks the
-        output array three times (spmm accumulate, bias add, activation);
-        backends fuse the bias/activation epilogue into the row loop (or
-        its chunk epilogue) so each output row is touched once while it
-        is still cache-hot.  Same numerics contract as :meth:`bias_act`:
-        ``relu`` and the bias add are bitwise against the unfused
-        reference, ``elu`` is exact on numpy and ≤1e-12 relative on JIT
-        backends.  ``act=None, bias=None`` degrades to :meth:`spmm`.
+        The serving hot path of the GCN layer: the unfused form allocates
+        an output per step (spmm, bias add, activation); the fused form
+        finishes the epilogue in place on the spmm's fresh output.  Same
+        numerics contract as :meth:`bias_act`: bitwise against the
+        unfused reference.  ``act=None, bias=None`` degrades to
+        :meth:`spmm`.
         """
         raise NotImplementedError
 
@@ -735,634 +708,12 @@ def _canonicalise_operator_indices(operator: sp.csr_matrix,
     recast.data = operator.data
     recast.indices = operator.indices.astype(index_dtype, copy=False)
     recast.indptr = operator.indptr.astype(index_dtype, copy=False)
-    block_offsets = getattr(operator, "block_offsets", None)
-    if block_offsets is not None:
-        recast.block_offsets = block_offsets
     return recast
-
-
-class ThreadedBackend(NumpyBackend):
-    """Row-partitioned spmm over a reusable thread pool.
-
-    ``spmm`` splits the CSR row range into ``num_threads`` chunks —
-    aligned to block boundaries when the operator came from a
-    block-diagonal :func:`~repro.graph.batch.stack_csr` collation
-    (``block_offsets`` attribute), nnz-balanced even row splits
-    otherwise — and runs SciPy's own CSR kernel on each chunk directly
-    into a shared output.  The kernels release the GIL, so chunks execute
-    in parallel on multi-core machines; per-row arithmetic is the exact
-    scipy kernel in the exact same order, so outputs are **bitwise
-    identical** to :class:`NumpyBackend` at any thread count.
-
-    Below ``serial_rows`` rows the partitioning overhead outweighs the
-    win and ``spmm`` runs the kernel serially (still skipping SciPy's
-    per-call dispatch/validation); above it the chunk count is capped at
-    ``rows // serial_rows`` so every chunk amortises its dispatch, even
-    when ``num_threads`` is large.  Everything else (dense matmul, array
-    creation, RNG) is inherited from :class:`NumpyBackend`.
-
-    Parameters
-    ----------
-    num_threads:
-        Worker count; default ``REPRO_NUM_THREADS`` or ``os.cpu_count()``.
-    serial_rows:
-        Minimum rows per chunk before a thread is worth dispatching.
-        The default is measured, not guessed: a
-        ``ThreadPoolExecutor`` submit+result round trip costs ≈11 µs on
-        this stack while ``scipy``'s ``csr_matvecs`` kernel retires a
-        degree-8, width-128 row in ≈0.97 µs (float64) / ≈0.55 µs
-        (float32) — see ``benchmarks/BENCH_threaded.json`` and the
-        ``bench-multicore`` CI artifacts.  Requiring each chunk to
-        amortise its dispatch ≈8x puts the crossover at ≈360 rows
-        (float64) to ≈650 rows (float32); 512 splits the difference.
-        The old default of 2048 left common serving operators
-        (≤2000-node task graphs) permanently single-threaded.
-
-    >>> rng = np.random.default_rng(0)
-    >>> operator = sp.csr_matrix((rng.random((64, 64)) < 0.2)
-    ...                          * rng.standard_normal((64, 64)))
-    >>> dense = rng.standard_normal((64, 8))
-    >>> backend = ThreadedBackend(num_threads=4)
-    >>> bool(np.array_equal(backend.spmm(operator, dense),
-    ...                     NumpyBackend().spmm(operator, dense)))
-    True
-    """
-
-    name = "threaded"
-
-    def __init__(self, num_threads: Optional[int] = None,
-                 serial_rows: int = 512):
-        if num_threads is None:
-            env = os.environ.get("REPRO_NUM_THREADS", "")
-            num_threads = int(env) if env else (os.cpu_count() or 1)
-        if num_threads < 1:
-            raise ValueError(f"num_threads must be >= 1, got {num_threads}")
-        self.num_threads = int(num_threads)
-        self.serial_rows = int(serial_rows)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-
-    # -- pool lifecycle -------------------------------------------------
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    # The submitting thread always computes one chunk
-                    # itself, so the pool needs one fewer worker.
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=max(self.num_threads - 1, 1),
-                        thread_name_prefix="repro-spmm")
-        return self._pool
-
-    def shutdown(self) -> None:
-        """Tear down the worker pool (it is rebuilt lazily on next use)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    # -- the partitioned kernel -----------------------------------------
-    @staticmethod
-    def _kernel_rows(matrix: sp.csr_matrix, dense: np.ndarray,
-                     out: np.ndarray, lo: int, hi: int) -> None:
-        """Rows ``[lo, hi)`` of ``matrix @ dense`` into ``out[lo:hi]``.
-
-        ``indptr[lo:hi+1]`` holds *absolute* offsets into the full
-        ``indices``/``data`` arrays, which is exactly what the kernel
-        indexes with — so a row-range call needs no copy of the operator.
-        ``out`` must be zero-initialised (the kernels accumulate).
-        """
-        indptr = matrix.indptr[lo:hi + 1]
-        if dense.ndim == 1:
-            _csr_kernels.csr_matvec(
-                hi - lo, matrix.shape[1], indptr, matrix.indices,
-                matrix.data, dense, out[lo:hi])
-        else:
-            _csr_kernels.csr_matvecs(
-                hi - lo, matrix.shape[1], dense.shape[1], indptr,
-                matrix.indices, matrix.data, dense.reshape(-1),
-                out[lo:hi].reshape(-1))
-
-    def _row_bounds(self, matrix: sp.csr_matrix, chunks: int) -> np.ndarray:
-        """Chunk boundaries balancing nnz across ``chunks`` chunks.
-
-        Block-diagonal operators carry their collation offsets
-        (``block_offsets``); cutting only at block boundaries keeps each
-        member graph's rows on one thread, which preserves cache locality
-        of the member's column range.  Other operators cut wherever the
-        nnz prefix crosses each balance target.
-        """
-        rows = matrix.shape[0]
-        nnz = int(matrix.indptr[-1])
-        targets = (np.arange(1, chunks, dtype=np.int64) * nnz) // chunks
-        blocks = getattr(matrix, "block_offsets", None)
-        if blocks is not None and len(blocks) > 2:
-            candidates = np.asarray(blocks, dtype=np.int64)
-            prefix = matrix.indptr[candidates].astype(np.int64)
-            cuts = candidates[np.searchsorted(prefix, targets)]
-        else:
-            cuts = np.searchsorted(matrix.indptr, targets).astype(np.int64)
-        return np.unique(np.concatenate([[0], cuts, [rows]]))
-
-    def _chunk_count(self, rows: int) -> int:
-        """How many chunks ``rows`` rows justify.
-
-        Capped at ``rows // serial_rows`` so each dispatched chunk keeps
-        at least ``serial_rows`` rows — the measured ≈8x amortisation of
-        the pool's ≈11 µs submit round trip (see the class docstring) —
-        rather than letting a high thread count shred a mid-sized
-        operator into dispatch-dominated slivers.
-        """
-        return min(self.num_threads, rows // self.serial_rows)
-
-    def _spmm_supported(self, matrix, dense: np.ndarray) -> bool:
-        return not (_csr_kernels is None
-                    or getattr(matrix, "format", None) != "csr"
-                    or matrix.dtype != dense.dtype
-                    or matrix.indices.dtype != matrix.indptr.dtype
-                    or dense.ndim not in (1, 2)
-                    or matrix.shape[1] != dense.shape[0]
-                    or not dense.flags.c_contiguous)
-
-    def spmm(self, matrix: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
-        rows = matrix.shape[0]
-        if not self._spmm_supported(matrix, dense):
-            # Anything the raw kernels can't take verbatim goes through
-            # scipy's own dispatch (which handles upcasts, layouts, and
-            # raises the dimension-mismatch error for bad shapes — the
-            # raw kernels would read out of bounds instead).
-            return matrix @ dense
-        out = np.zeros((rows,) + dense.shape[1:], dtype=dense.dtype)
-        chunks = self._chunk_count(rows)
-        if chunks <= 1:
-            self._kernel_rows(matrix, dense, out, 0, rows)
-            return out
-        bounds = self._row_bounds(matrix, chunks)
-        if len(bounds) < 3:
-            self._kernel_rows(matrix, dense, out, 0, rows)
-            return out
-        pool = self._executor()
-        futures = [pool.submit(self._kernel_rows, matrix, dense, out,
-                               int(lo), int(hi))
-                   for lo, hi in zip(bounds[:-2], bounds[1:-1])]
-        # The caller computes the last chunk itself instead of idling.
-        self._kernel_rows(matrix, dense, out, int(bounds[-2]), int(bounds[-1]))
-        for future in futures:
-            future.result()
-        return out
-
-    def _fused_rows(self, matrix: sp.csr_matrix, dense: np.ndarray,
-                    out: np.ndarray, lo: int, hi: int,
-                    bias: Optional[np.ndarray], act: Optional[str]) -> None:
-        """One chunk of the fused kernel: spmm rows, then the epilogue on
-        the same cache-hot slice before the worker moves on."""
-        self._kernel_rows(matrix, dense, out, lo, hi)
-        view = out[lo:hi]
-        if bias is not None:
-            view += bias
-        _apply_act_inplace(view, act)
-
-    def spmm_bias_act(self, matrix: sp.spmatrix, dense: np.ndarray,
-                      bias: Optional[np.ndarray] = None,
-                      act: Optional[str] = None) -> np.ndarray:
-        _check_act(act)
-        rows = matrix.shape[0]
-        if (not self._spmm_supported(matrix, dense)
-                or dense.ndim != 2
-                or (bias is not None
-                    and not (bias.ndim == 1
-                             and bias.shape[0] == dense.shape[1]
-                             and bias.dtype == dense.dtype))):
-            out = self.spmm(matrix, dense)   # fresh in every branch
-            _apply_bias_act_inplace(out, bias, act)
-            return out
-        out = np.zeros((rows, dense.shape[1]), dtype=dense.dtype)
-        chunks = self._chunk_count(rows)
-        if chunks <= 1:
-            self._fused_rows(matrix, dense, out, 0, rows, bias, act)
-            return out
-        bounds = self._row_bounds(matrix, chunks)
-        if len(bounds) < 3:
-            self._fused_rows(matrix, dense, out, 0, rows, bias, act)
-            return out
-        pool = self._executor()
-        futures = [pool.submit(self._fused_rows, matrix, dense, out,
-                               int(lo), int(hi), bias, act)
-                   for lo, hi in zip(bounds[:-2], bounds[1:-1])]
-        self._fused_rows(matrix, dense, out, int(bounds[-2]),
-                         int(bounds[-1]), bias, act)
-        for future in futures:
-            future.result()
-        return out
-
-
-def _import_numba_kernels():
-    """Import the JIT kernel module, or fail with an install hint.
-
-    This is the single gate that keeps numba optional: nothing on the
-    default path imports :mod:`repro.nn.kernels_numba`, so a stock
-    install never pays the dependency — or the import cost — and only an
-    explicit ``make_backend("numba")`` can hit this error.
-    """
-    try:
-        from . import kernels_numba
-    except ImportError as exc:
-        raise ImportError(
-            "backend 'numba' requires the optional numba dependency which "
-            "is not installed; run `pip install numba` to enable the JIT "
-            "kernels (the default 'numpy' and 'threaded' backends need no "
-            "extra packages)") from exc
-    return kernels_numba
-
-
-def _numba_installed() -> bool:
-    """Whether the numba wheel is importable, without importing it.
-
-    ``sys.modules`` is consulted first so tests can hide the module by
-    stubbing the entry to ``None`` (the standard import-blocking trick),
-    and so an already-imported numba is reported without a filesystem
-    probe.
-    """
-    import importlib.util
-    import sys
-    if "numba" in sys.modules:
-        return sys.modules["numba"] is not None
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):  # pragma: no cover - exotic loaders
-        return False
-
-
-class NumbaBackend(NumpyBackend):
-    """JIT-compiled kernels for the spmm + GAT edge-path hot loops.
-
-    Construction imports :mod:`repro.nn.kernels_numba` (and thereby
-    numba) lazily; when the wheel is absent it raises ``ImportError``
-    with an install hint, keeping the default install dependency-free.
-
-    Kernel contracts (see the kernel module for the reasoning):
-
-    * ``spmm`` — CSR rows accumulated in SciPy's order, parallel over
-      rows, or over collation blocks when the operator carries the
-      ``block_offsets`` annotation of a :func:`~repro.graph.batch.stack_csr`
-      batch: **bitwise identical** to :class:`NumpyBackend`.
-    * ``gather_rows`` / ``scatter_add_rows`` — exact / edge-order
-      accumulation: **bitwise identical**.
-    * ``segment_softmax`` — fused max/exp/normalise; numba's ``exp``
-      may differ from NumPy's by ulps (≤1e-12 relative at float64).
-
-    Anything a kernel cannot take verbatim (unsupported dtype, ndim,
-    non-contiguous input) falls back to the inherited NumPy reference.
-    Kernels specialise per ``(element dtype, index dtype)`` signature,
-    so both process policies are honoured with no cross-casting.
-
-    Parameters
-    ----------
-    num_threads:
-        Optional thread count for the parallel kernels.  Numba's
-        threading layer is process-global, so this clamps and installs
-        the count for every numba kernel in the process.
-    """
-
-    name = "numba"
-
-    def __init__(self, num_threads: Optional[int] = None):
-        self._kernels = _import_numba_kernels()
-        if num_threads is None:
-            # Honour the same env policy as ThreadedBackend so one
-            # REPRO_NUM_THREADS setting sizes whichever parallel
-            # backend is selected.
-            env = os.environ.get("REPRO_NUM_THREADS", "")
-            if env:
-                num_threads = int(env)
-        if num_threads is not None:
-            if num_threads < 1:
-                raise ValueError(
-                    f"num_threads must be >= 1, got {num_threads}")
-            self.num_threads = self._kernels.set_num_threads(num_threads)
-        else:
-            # Report what prange kernels actually run with: the count is
-            # process-global, so an earlier set_num_threads (from any
-            # instance) may sit below the launch ceiling.
-            self.num_threads = self._kernels.current_threads()
-
-    def warmup(self, dtype: Optional[DTypeLike] = None,
-               index_dtype: Optional[DTypeLike] = None) -> None:
-        """Eagerly compile every kernel for one signature pair (defaults:
-        the ambient element and index policies)."""
-        self._kernels.warmup(resolve_dtype(dtype),
-                             resolve_index_dtype(index_dtype))
-
-    @staticmethod
-    def _supported(*arrays: np.ndarray) -> bool:
-        for array in arrays:
-            if array.dtype.name not in SUPPORTED_DTYPES:
-                return False
-            if not array.flags.c_contiguous:
-                return False
-        return True
-
-    @staticmethod
-    def _index_supported(indices: np.ndarray) -> bool:
-        return (indices.dtype.name in SUPPORTED_INDEX_DTYPES
-                and indices.flags.c_contiguous)
-
-    @staticmethod
-    def _indices_in_range(indices: np.ndarray, limit: int) -> bool:
-        """Whether every index lies in ``[0, limit)``.
-
-        The JIT kernels run without bounds checks, so anything outside
-        that range must take the NumPy reference path instead — which
-        either raises the proper ``IndexError`` or applies NumPy's
-        negative-index semantics, exactly as the other backends do.
-        The cost is two simple O(E) reductions (min, then max) per call;
-        the kernels they protect make at least one O(E) pass doing real
-        work per element (exp, multiply-add over feature width), so the
-        guard stays a minor fraction of each dispatch rather than
-        warranting an identity-keyed validation cache.
-        """
-        if indices.size == 0:
-            return True
-        return bool(indices.min() >= 0) and bool(indices.max() < limit)
-
-    def spmm(self, matrix: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
-        if (getattr(matrix, "format", None) != "csr"
-                or matrix.dtype != dense.dtype
-                or matrix.indices.dtype != matrix.indptr.dtype
-                or not self._index_supported(matrix.indices)
-                or dense.ndim not in (1, 2)
-                or matrix.shape[1] != dense.shape[0]
-                or not self._supported(matrix.data, dense)):
-            # Upcasts, exotic layouts and shape mismatches go through
-            # scipy's own dispatch (which also raises the proper error
-            # for bad shapes — the raw kernels would read out of bounds).
-            return matrix @ dense
-        out = np.zeros((matrix.shape[0],) + dense.shape[1:],
-                       dtype=dense.dtype)
-        if dense.ndim == 1:
-            self._kernels.spmm_vec(matrix.indptr, matrix.indices,
-                                   matrix.data, dense, out)
-            return out
-        blocks = getattr(matrix, "block_offsets", None)
-        # The block kernel iterates exactly [blocks[0], blocks[-1]), so
-        # only a full-span annotation (as stack_csr produces) may select
-        # it; anything else would silently zero the uncovered rows.
-        if (blocks is not None and len(blocks) > 2
-                and int(blocks[0]) == 0
-                and int(blocks[-1]) == matrix.shape[0]):
-            self._kernels.spmm_blocks(
-                matrix.indptr, matrix.indices, matrix.data, dense,
-                np.asarray(blocks, dtype=np.int64), out)
-        else:
-            self._kernels.spmm_rows(matrix.indptr, matrix.indices,
-                                    matrix.data, dense, out)
-        return out
-
-    #: Activation dispatch codes of the fused JIT kernels.
-    _ACT_CODES = {None: 0, "relu": 1, "elu": 2}
-
-    def _bias_supported(self, bias: Optional[np.ndarray],
-                        width: int, dtype: np.dtype) -> bool:
-        return (bias is None
-                or (bias.ndim == 1 and bias.shape[0] == width
-                    and bias.dtype == dtype and bias.flags.c_contiguous))
-
-    def bias_act(self, x: np.ndarray, bias: Optional[np.ndarray] = None,
-                 act: Optional[str] = None) -> np.ndarray:
-        _check_act(act)
-        if (x.ndim != 2 or not self._supported(x)
-                or not self._bias_supported(bias, x.shape[1], x.dtype)):
-            return super().bias_act(x, bias, act)
-        out = np.empty_like(x)
-        bias_arr = bias if bias is not None else np.empty(0, dtype=x.dtype)
-        self._kernels.bias_act_2d(x, bias_arr, bias is not None,
-                                  self._ACT_CODES[act], out)
-        return out
-
-    def spmm_bias_act(self, matrix: sp.spmatrix, dense: np.ndarray,
-                      bias: Optional[np.ndarray] = None,
-                      act: Optional[str] = None) -> np.ndarray:
-        _check_act(act)
-        if (getattr(matrix, "format", None) != "csr"
-                or matrix.dtype != dense.dtype
-                or matrix.indices.dtype != matrix.indptr.dtype
-                or not self._index_supported(matrix.indices)
-                or dense.ndim != 2
-                or matrix.shape[1] != dense.shape[0]
-                or not self._supported(matrix.data, dense)
-                or not self._bias_supported(bias, dense.shape[1],
-                                            dense.dtype)):
-            return super().spmm_bias_act(matrix, dense, bias, act)
-        out = np.zeros((matrix.shape[0], dense.shape[1]), dtype=dense.dtype)
-        bias_arr = (bias if bias is not None
-                    else np.empty(0, dtype=dense.dtype))
-        act_code = self._ACT_CODES[act]
-        blocks = getattr(matrix, "block_offsets", None)
-        # Same full-span rule as spmm: a partial annotation must not
-        # silently skip the uncovered rows' epilogue.
-        if (blocks is not None and len(blocks) > 2
-                and int(blocks[0]) == 0
-                and int(blocks[-1]) == matrix.shape[0]):
-            self._kernels.spmm_bias_act_blocks(
-                matrix.indptr, matrix.indices, matrix.data, dense,
-                np.asarray(blocks, dtype=np.int64), bias_arr,
-                bias is not None, act_code, out)
-        else:
-            self._kernels.spmm_bias_act_rows(
-                matrix.indptr, matrix.indices, matrix.data, dense,
-                bias_arr, bias is not None, act_code, out)
-        return out
-
-    def gather_rows(self, source: np.ndarray,
-                    indices: np.ndarray) -> np.ndarray:
-        if (source.ndim not in (1, 2) or indices.ndim != 1
-                or not self._supported(source)
-                or not self._index_supported(indices)
-                or not self._indices_in_range(indices, source.shape[0])):
-            return super().gather_rows(source, indices)
-        out = np.empty((indices.shape[0],) + source.shape[1:],
-                       dtype=source.dtype)
-        if source.ndim == 1:
-            self._kernels.gather_rows_1d(source, indices, out)
-        else:
-            self._kernels.gather_rows_2d(source, indices, out)
-        return out
-
-    def scatter_add_rows(self, source: np.ndarray, indices: np.ndarray,
-                         num_rows: int) -> np.ndarray:
-        if (source.ndim not in (1, 2) or indices.ndim != 1
-                or indices.shape[0] != source.shape[0]
-                or not self._supported(source)
-                or not self._index_supported(indices)
-                or not self._indices_in_range(indices, num_rows)):
-            # The length check matters beyond dispatch hygiene: the JIT
-            # kernel iterates the index array unbounds-checked, so a
-            # mismatch must take np.add.at's error path instead.
-            return super().scatter_add_rows(source, indices, num_rows)
-        out = np.zeros((num_rows,) + source.shape[1:], dtype=source.dtype)
-        if source.ndim == 1:
-            self._kernels.scatter_add_1d(source, indices, out)
-        else:
-            self._kernels.scatter_add_2d(source, indices, out)
-        return out
-
-    def segment_softmax(self, scores: np.ndarray, segments: np.ndarray,
-                        num_segments: int) -> np.ndarray:
-        if (scores.ndim != 1 or segments.ndim != 1
-                or segments.shape[0] != scores.shape[0]
-                or not self._supported(scores)
-                or not self._index_supported(segments)
-                or not self._indices_in_range(segments, num_segments)):
-            # Length mismatches take the numpy path (np.maximum.at's
-            # ValueError) — the JIT kernel reads segments unchecked.
-            return super().segment_softmax(scores, segments, num_segments)
-        out = np.empty_like(scores)
-        self._kernels.segment_softmax(
-            scores, segments,
-            np.full(num_segments, -np.inf, dtype=scores.dtype),
-            np.zeros(num_segments, dtype=scores.dtype),
-            scores.dtype.type(1e-16), out)
-        return out
-
-
-def _make_auto_backend(**options) -> ArrayBackend:
-    """The measured default backend choice for this machine.
-
-    Derived from the committed perf records rather than guessed: the
-    1-CPU container record (``benchmarks/BENCH_threaded.json``) shows
-    the partitioned spmm at 0.85–1.0x on a single core (pure dispatch
-    overhead), while the ``bench-multicore`` CI job asserts ≥1.3x on
-    every 2+-core runner.  So ``auto`` is :class:`ThreadedBackend` when
-    the machine has 2+ cores and :class:`NumpyBackend` otherwise
-    (``options`` such as ``num_threads`` are forwarded to the threaded
-    backend and ignored on single-core hosts, where they have nothing to
-    size).  The instance keeps its concrete name (``"threaded"`` /
-    ``"numpy"``), so provenance records the choice that actually ran.
-    """
-    if (os.cpu_count() or 1) >= 2:
-        return ThreadedBackend(**options)
-    return NumpyBackend()
-
-
-#: Registered backend factories, keyed by name.
-_BACKEND_FACTORIES: Dict[str, Callable[..., ArrayBackend]] = {
-    "numpy": NumpyBackend,
-    "threaded": ThreadedBackend,
-    "numba": NumbaBackend,
-    "auto": _make_auto_backend,
-}
-
-#: Optional per-backend installation probes; names without one are
-#: always installed (no optional dependencies).
-_BACKEND_PROBES: Dict[str, Callable[[], bool]] = {
-    "numba": _numba_installed,
-}
-
-
-def available_backends() -> Dict[str, bool]:
-    """The registered backends mapped to whether they are installed.
-
-    The mapping iterates in sorted-name order, so the pre-existing
-    names-only idioms (``list(...)``, ``"numpy" in ...``, iteration)
-    keep working unchanged; :func:`backend_names` is the explicit
-    names-only view.  A ``False`` value means the backend is registered
-    but its optional dependency is missing — :func:`make_backend` on it
-    raises ``ImportError`` with the install hint.
-
-    >>> backend_names()
-    ('auto', 'numba', 'numpy', 'threaded')
-    >>> available_backends()["numpy"]
-    True
-    """
-    return {name: _BACKEND_PROBES.get(name, _always_installed)()
-            for name in sorted(_BACKEND_FACTORIES)}
-
-
-def backend_names() -> Tuple[str, ...]:
-    """The registered backend names, sorted (installed or not)."""
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
-def _always_installed() -> bool:
-    return True
-
-
-def register_backend(name: str, factory: Callable[..., ArrayBackend],
-                     installed: Optional[Callable[[], bool]] = None) -> None:
-    """Register a backend factory under ``name`` for :func:`make_backend`.
-
-    ``installed`` is an optional zero-argument probe reporting whether
-    the backend's dependencies are importable (for
-    :func:`available_backends`); omit it for dependency-free backends.
-    Re-registering a name is an error — it almost always indicates an
-    accidental double import.
-    """
-    key = name.strip().lower()
-    if key in _BACKEND_FACTORIES:
-        raise ValueError(f"backend {name!r} is already registered")
-    _BACKEND_FACTORIES[key] = factory
-    if installed is not None:
-        _BACKEND_PROBES[key] = installed
-
-
-def make_backend(name: str, **options) -> ArrayBackend:
-    """Instantiate a registered backend by name.
-
-    ``options`` are forwarded to the factory (e.g.
-    ``make_backend("threaded", num_threads=4)``).  Unknown names raise
-    ``ValueError``; a registered backend whose optional dependency is
-    missing raises ``ImportError`` with the install hint (probe first
-    with :func:`available_backends` to avoid the try/except).
-
-    >>> make_backend("numpy").name
-    'numpy'
-    >>> make_backend("threaded", num_threads=2).num_threads
-    2
-    """
-    factory = _BACKEND_FACTORIES.get(name.strip().lower())
-    if factory is None:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {backend_names()}")
-    return factory(**options)
-
-
-def _coerce_backend(backend: Union[str, ArrayBackend],
-                    **options) -> ArrayBackend:
-    if isinstance(backend, str):
-        return make_backend(backend, **options)
-    if options:
-        raise TypeError(
-            "backend options are only accepted together with a backend "
-            "name, not a ready instance")
-    if not isinstance(backend, ArrayBackend):
-        raise TypeError(
-            f"expected an ArrayBackend or a registered backend name, got "
-            f"{type(backend).__name__}")
-    return backend
-
-
-def _backend_from_env() -> ArrayBackend:
-    """The process default from ``REPRO_BACKEND`` (default numpy)."""
-    name = os.environ.get("REPRO_BACKEND", "numpy")
-    try:
-        return make_backend(name)
-    except ValueError as exc:
-        raise ValueError(
-            f"invalid REPRO_BACKEND environment variable: {exc}") from exc
-    except ImportError as exc:
-        # Fail fast rather than silently degrade to numpy: an explicit
-        # REPRO_BACKEND request that cannot be honoured should never let
-        # a serving fleet lose its JIT without noticing.  The message
-        # names both ways out.
-        raise ImportError(
-            f"REPRO_BACKEND={name} needs an optional dependency ({exc}); "
-            f"install it, or unset REPRO_BACKEND to use the default "
-            f"numpy backend") from exc
 
 
 #: Process-wide default backend (shared across threads, like the
 #: precision default); ``use_backend`` overrides are per-thread.
-_PROCESS_DEFAULT_BACKEND = _backend_from_env()
+_PROCESS_DEFAULT_BACKEND: ArrayBackend = NumpyBackend()
 
 
 class _BackendState(threading.local):
@@ -1382,26 +733,26 @@ def get_backend() -> ArrayBackend:
     return stack[-1] if stack else _PROCESS_DEFAULT_BACKEND
 
 
-def set_backend(backend: Union[str, ArrayBackend], **options) -> None:
-    """Install a backend as the process-wide default (all threads).
+def _check_backend(backend: ArrayBackend) -> ArrayBackend:
+    if not isinstance(backend, ArrayBackend):
+        raise TypeError(
+            f"expected an ArrayBackend instance, got "
+            f"{type(backend).__name__}")
+    return backend
 
-    Accepts an :class:`ArrayBackend` instance or a registered name (with
-    factory ``options``): ``set_backend("threaded", num_threads=8)``.
-    """
+
+def set_backend(backend: ArrayBackend) -> None:
+    """Install a backend instance as the process-wide default (all
+    threads)."""
     global _PROCESS_DEFAULT_BACKEND
-    _PROCESS_DEFAULT_BACKEND = _coerce_backend(backend, **options)
+    _PROCESS_DEFAULT_BACKEND = _check_backend(backend)
 
 
 @contextlib.contextmanager
-def use_backend(backend: Union[str, ArrayBackend],
-                **options) -> Iterator[ArrayBackend]:
-    """Scoped backend override: ``with use_backend("threaded"): ...``.
-
-    Accepts an instance or a registered name, like :func:`set_backend`.
-    """
-    resolved = _coerce_backend(backend, **options)
-    _BACKEND_STATE.stack.append(resolved)
+def use_backend(backend: ArrayBackend) -> Iterator[ArrayBackend]:
+    """Scoped backend override: ``with use_backend(NumpyBackend()): ...``."""
+    _BACKEND_STATE.stack.append(_check_backend(backend))
     try:
-        yield resolved
+        yield backend
     finally:
         _BACKEND_STATE.stack.pop()

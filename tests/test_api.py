@@ -168,6 +168,31 @@ class TestModelBundle:
         restored = ModelBundle.load(path)
         assert restored.config == model.config
 
+    @pytest.mark.parametrize("recorded", ["threaded", "numba"])
+    def test_backend_header_is_provenance_only(self, model, test_task,
+                                               tmp_path, recorded):
+        """Bundles written under a since-removed backend name still load
+        and answer bitwise like the bundle they were copied from."""
+        bundle = ModelBundle.from_model(model)
+        original_path = str(tmp_path / "original.npz")
+        bundle.save(original_path)
+        header = bundle.header()
+        header["backend"] = recorded
+        payload = dict(bundle.state)
+        payload[BUNDLE_HEADER_KEY] = np.asarray(json.dumps(header))
+        path = str(tmp_path / f"{recorded}.npz")
+        save_state(payload, path)
+
+        restored = ModelBundle.load(path)
+        assert restored.backend == recorded
+        queries = [e.query for e in test_task.queries]
+        expected = predict_memberships(
+            ModelBundle.load(original_path).build_model(), test_task, queries)
+        got = predict_memberships(restored.build_model(), test_task, queries)
+        assert got.keys() == expected.keys()
+        for query in expected:
+            np.testing.assert_array_equal(got[query], expected[query])
+
 
 class TestCommunitySearchEngine:
     def test_from_bundle_serves_queries(self, model, test_task, tmp_path):

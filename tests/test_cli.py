@@ -57,8 +57,8 @@ class TestCommands:
         assert "loaded" in captured.out
         assert "deprecated" not in captured.err
 
-    def test_backend_flags_roundtrip(self, tmp_path, capsys):
-        """--backend/--index-dtype thread the run; the bundle records them."""
+    def test_index_dtype_flag_roundtrip(self, tmp_path, capsys):
+        """--index-dtype threads the run; the bundle records it."""
         from repro.api import ModelBundle
 
         model_path = str(tmp_path / "model.npz")
@@ -66,19 +66,18 @@ class TestCommands:
                      "--epochs", "1", "--tasks", "2",
                      "--subgraph-nodes", "40", "--hidden-dim", "8",
                      "--layers", "1", "--conv", "gcn", "--scale", "0.2",
-                     "--backend", "threaded", "--num-threads", "2",
-                     "--index-dtype", "int32"])
+                     "--index-dtype", "int64"])
         assert code == 0
         capsys.readouterr()
         bundle = ModelBundle.load(model_path)
-        assert bundle.backend == "threaded"
-        assert bundle.index_dtype == "int32"
+        assert bundle.backend == "numpy"
+        assert bundle.index_dtype == "int64"
 
         code = main(["query", "--dataset", "cora", "--model", model_path,
                      "--node", "0", "--subgraph-nodes", "40",
-                     "--scale", "0.2", "--backend", "threaded"])
+                     "--scale", "0.2", "--index-dtype", "int64"])
         assert code == 0
-        assert "backend threaded" in capsys.readouterr().out
+        assert "backend numpy" in capsys.readouterr().out
 
     def test_shard_flags_roundtrip(self, tmp_path, capsys):
         """--shards/--memmap-dir shard the query-side task graph; train
@@ -113,22 +112,17 @@ class TestCommands:
         assert args.shards is None
         assert args.memmap_dir is None
 
-    def test_num_threads_requires_threaded_backend(self, tmp_path, capsys):
-        code = main(["query", "--dataset", "cora", "--model", "x.npz",
-                     "--node", "0", "--num-threads", "4"])
-        assert code == 2
-        assert "--backend threaded" in capsys.readouterr().err
+    def test_omitted_index_flag_keeps_ambient_policy(self):
+        """The flag defaults to None so REPRO_INDEX_DTYPE (the process
+        default) stays effective on the CLI entry points."""
+        import contextlib
 
-    def test_omitted_backend_flags_keep_ambient_policies(self):
-        """Flags default to None so REPRO_BACKEND/REPRO_INDEX_DTYPE (the
-        process defaults) stay effective on the CLI entry points."""
-        from repro.cli import _policy_scopes
+        from repro.cli import _index_scope
 
         args = build_parser().parse_args(
             ["query", "--model", "x.npz", "--node", "0"])
-        assert args.backend is None
         assert args.index_dtype is None
-        assert _policy_scopes(args) == []
+        assert isinstance(_index_scope(args), contextlib.nullcontext)
 
     def test_query_architecture_flags_deprecated(self, tmp_path, capsys):
         """Old scripts passing architecture flags still work, with a warning."""

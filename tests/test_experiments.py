@@ -6,12 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import MethodSpec, create_method
 from repro.eval import (
     ALL_METHOD_NAMES,
     PAPER_REFERENCE_F1,
     PROFILES,
     ExperimentProfile,
-    build_method,
     build_methods,
     run_ablation,
     run_effectiveness,
@@ -47,13 +47,12 @@ class TestProfiles:
 class TestMethodFactory:
     @pytest.mark.parametrize("name", ALL_METHOD_NAMES)
     def test_every_method_builds(self, name):
-        with pytest.warns(DeprecationWarning):
-            method = build_method(name, MICRO)
+        method = create_method(MethodSpec.from_profile(name, MICRO))
         assert method.name == name
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            build_method("GPT", MICRO)
+        with pytest.raises(ValueError):
+            create_method(MethodSpec.from_profile("GPT", MICRO))
 
     def test_build_methods_distinct_seeds(self):
         methods = build_methods(["CGNP-IP", "CGNP-MLP"], MICRO)
@@ -61,37 +60,22 @@ class TestMethodFactory:
 
     def test_cgnp_variant_decoders(self):
         for decoder in ("ip", "mlp", "gnn"):
-            with pytest.warns(DeprecationWarning):
-                method = build_method(f"CGNP-{decoder.upper()}", MICRO)
+            method = create_method(MethodSpec.from_profile(
+                f"CGNP-{decoder.upper()}", MICRO))
             assert method.model_config.decoder == decoder
 
 
 class TestRegistryUnification:
-    """``build_method``/``method_spec`` are deprecated shims over the
-    :mod:`repro.api.registry` path; both paths must construct the same
+    """The harness's ``build_methods`` and a direct
+    ``create_method(MethodSpec.from_profile(...))`` construct the same
     thing for every paper method."""
 
     @pytest.mark.parametrize("name", ALL_METHOD_NAMES)
-    def test_spec_paths_agree(self, name):
-        from repro.api import MethodSpec
-        from repro.eval.experiments import method_spec
-
-        with pytest.warns(DeprecationWarning):
-            legacy = method_spec(name, MICRO, seed=4, conv="gcn",
-                                 aggregator="mean")
-        modern = MethodSpec.from_profile(name, MICRO, seed=4, conv="gcn",
-                                         aggregator="mean")
-        assert legacy == modern
-
-    @pytest.mark.parametrize("name", ALL_METHOD_NAMES)
     def test_construction_paths_build_same_architecture(self, name):
-        from repro.api import MethodSpec, create_method
-
-        with pytest.warns(DeprecationWarning):
-            legacy = build_method(name, MICRO)
-        modern = create_method(MethodSpec.from_profile(name, MICRO))
-        assert type(legacy) is type(modern)
-        assert legacy.name == modern.name == name
+        (harness,) = build_methods([name], MICRO)
+        direct = create_method(MethodSpec.from_profile(name, MICRO))
+        assert type(harness) is type(direct)
+        assert harness.name == direct.name == name
 
     def test_build_methods_does_not_warn(self, recwarn):
         build_methods(["CTC"], MICRO)

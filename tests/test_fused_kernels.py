@@ -4,14 +4,10 @@ encode-then-aggregate context fold.
 The numerics contract under test:
 
 * ``spmm_bias_act(A, X, b, act)`` is **bitwise identical** to the
-  unfused ``spmm → + bias → activation`` composition on the numpy and
-  threaded backends, at both element dtypes (float32/float64), both
-  index dtypes (int32/int64) and every supported activation (None /
-  relu / elu) — including the -0.0 and NaN edge cases of
-  ``np.maximum(x, 0.0)``.
-* the NumbaBackend (when the wheel is present) matches bitwise for
-  None/relu and to ≤1e-12 relative at float64 for elu (its ``exp`` may
-  differ by ulps).
+  unfused ``spmm → + bias → activation`` composition at both element
+  dtypes (float32/float64), both index dtypes (int32/int64) and every
+  supported activation (None / relu / elu) — including the -0.0 and NaN
+  edge cases of ``np.maximum(x, 0.0)``.
 * the encoder's fused per-layer dispatch is bitwise equal to the
   unfused forward in eval mode, and *never* engages while training or
   taping.
@@ -30,17 +26,15 @@ from repro.core import CGNP, CGNPConfig
 from repro.gnn.encoder import GNNEncoder
 from repro.graph import attributed_community_graph
 from repro.nn.backend import (FUSED_ACTIVATIONS, NumpyBackend,
-                              ThreadedBackend, available_backends,
                               fused_inference, fused_inference_enabled,
-                              index_precision, make_backend, precision,
-                              set_fused_inference, use_backend)
+                              index_precision, precision,
+                              set_fused_inference)
 from repro.nn.tensor import Tensor, no_grad
 from repro.tasks import TaskSampler
 from repro.utils import make_rng
 
 ELEM_DTYPES = (np.float32, np.float64)
 INDEX_DTYPES = (np.int32, np.int64)
-NUMBA = available_backends()["numba"]
 
 
 def random_csr(rng, rows=37, cols=29, density=0.15, dtype=np.float64,
@@ -65,12 +59,6 @@ def reference(matrix, dense, bias, act):
     return out
 
 
-def backends():
-    yield "numpy", NumpyBackend()
-    # serial_rows=1 forces the partitioned path even on tiny fixtures.
-    yield "threaded", ThreadedBackend(num_threads=4, serial_rows=1)
-
-
 class TestSpmmBiasAct:
     @pytest.mark.parametrize("elem", ELEM_DTYPES)
     @pytest.mark.parametrize("index", INDEX_DTYPES)
@@ -82,11 +70,9 @@ class TestSpmmBiasAct:
         dense = rng.standard_normal((29, 8)).astype(elem)
         bias = rng.standard_normal(8).astype(elem) if with_bias else None
         expected = reference(matrix, dense, bias, act)
-        for name, backend in backends():
-            got = backend.spmm_bias_act(matrix, dense, bias, act)
-            assert got.dtype == expected.dtype, (name, act)
-            np.testing.assert_array_equal(got, expected,
-                                          err_msg=f"{name} {act}")
+        got = NumpyBackend().spmm_bias_act(matrix, dense, bias, act)
+        assert got.dtype == expected.dtype, act
+        np.testing.assert_array_equal(got, expected, err_msg=act)
 
     @pytest.mark.parametrize("act", ["relu", "elu"])
     def test_special_values_match_numpy_semantics(self, act):
@@ -96,28 +82,25 @@ class TestSpmmBiasAct:
         dense = np.array([[-0.0], [np.nan], [-1.5], [np.inf]])
         bias = np.zeros(1)
         expected = reference(matrix, dense, bias, act)
-        for name, backend in backends():
-            got = backend.spmm_bias_act(matrix, dense, bias, act)
-            np.testing.assert_array_equal(got, expected, err_msg=name)
+        got = NumpyBackend().spmm_bias_act(matrix, dense, bias, act)
+        np.testing.assert_array_equal(got, expected)
 
     def test_unknown_activation_rejected(self):
         matrix = sp.csr_matrix(np.eye(3))
         dense = np.ones((3, 2))
-        for name, backend in backends():
-            with pytest.raises(ValueError, match="activation"):
-                backend.spmm_bias_act(matrix, dense, None, "tanh")
+        with pytest.raises(ValueError, match="activation"):
+            NumpyBackend().spmm_bias_act(matrix, dense, None, "tanh")
 
     def test_mismatched_bias_falls_back_correctly(self):
-        # A float32 bias against float64 activations fails the threaded
-        # fusion guard; the fallback must still produce the (upcast)
-        # reference result rather than crash or silently skip the bias.
+        # A float32 bias against float64 activations must still produce
+        # the (upcast) reference result rather than crash or silently
+        # skip the bias.
         rng = np.random.RandomState(1)
         matrix = random_csr(rng)
         dense = rng.standard_normal((29, 8))
         bias = rng.standard_normal(8).astype(np.float32)
         expected = reference(matrix, dense, bias, "relu")
-        got = ThreadedBackend(num_threads=2, serial_rows=1).spmm_bias_act(
-            matrix, dense, bias, "relu")
+        got = NumpyBackend().spmm_bias_act(matrix, dense, bias, "relu")
         np.testing.assert_array_equal(got, expected)
 
 
@@ -137,46 +120,13 @@ class TestBiasAct:
         elif act == "elu":
             expected = np.where(expected > 0, expected,
                                 np.exp(np.minimum(expected, 0.0)) - 1.0)
-        for name, backend in backends():
-            got = backend.bias_act(x.copy(), bias, act)
-            np.testing.assert_array_equal(got, expected, err_msg=name)
+        got = NumpyBackend().bias_act(x.copy(), bias, act)
+        np.testing.assert_array_equal(got, expected)
 
     def test_input_not_mutated_without_epilogue(self):
         x = np.ones((3, 3))
         out = NumpyBackend().bias_act(x, None, None)
         assert out is x  # identity pass-through, no copy
-
-
-@pytest.mark.skipif(not NUMBA, reason="numba wheel not installed")
-class TestNumbaFused:
-    @pytest.mark.parametrize("elem", ELEM_DTYPES)
-    @pytest.mark.parametrize("index", INDEX_DTYPES)
-    @pytest.mark.parametrize("act", FUSED_ACTIVATIONS)
-    def test_parity(self, elem, index, act):
-        rng = np.random.RandomState(3)
-        matrix = random_csr(rng, dtype=elem, index_dtype=index)
-        dense = rng.standard_normal((29, 8)).astype(elem)
-        bias = rng.standard_normal(8).astype(elem)
-        expected = reference(matrix, dense, bias, act)
-        got = make_backend("numba").spmm_bias_act(matrix, dense, bias, act)
-        if act == "elu":
-            # numba's exp may differ from numpy's by ulps.
-            tol = 1e-12 if elem == np.float64 else 1e-5
-            np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
-        else:
-            np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.parametrize("act", FUSED_ACTIVATIONS)
-    def test_bias_act_parity(self, act):
-        rng = np.random.RandomState(4)
-        x = rng.standard_normal((23, 6))
-        bias = rng.standard_normal(6)
-        expected = NumpyBackend().bias_act(x.copy(), bias, act)
-        got = make_backend("numba").bias_act(x.copy(), bias, act)
-        if act == "elu":
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-        else:
-            np.testing.assert_array_equal(got, expected)
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,8 @@
 The contract under test: after ``Graph.apply_delta`` patches the CSR
 structure and repairs the cached message-passing operators in place,
 every operator family is **bitwise identical** to what a cold build on a
-fresh ``Graph`` holding the final edge set produces — across backends,
-index dtypes, element dtypes and shard counts.  Bitwise, not allclose:
+fresh ``Graph`` holding the final edge set produces — across index
+dtypes, element dtypes and shard counts.  Bitwise, not allclose:
 the repair path re-derives normalisation values with the exact
 cold-build expressions, and any drift would silently break the engine's
 "attach once, stream forever" story.
@@ -22,7 +22,7 @@ from repro.gnn.conv import GRAPH_OPS_KEY, graph_ops
 from repro.graph import Graph, GraphDelta, ShardedGraph
 from repro.graph.delta import GRAPH_OPS_PREFIX, dirty_frontier
 from repro.nn.backend import index_precision, precision, resolve_dtype, \
-    resolve_index_dtype, use_backend
+    resolve_index_dtype
 from repro.utils import make_rng
 
 
@@ -149,15 +149,13 @@ class TestPatchedEdgeList:
 # ----------------------------------------------------------------------
 # Dense differential: patched operators vs cold rebuild, bitwise
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["numpy", "threaded"])
 @pytest.mark.parametrize("index_dtype", ["int32", "int64"])
 class TestDenseDifferential:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_repaired_ops_bitwise_equal_cold_build(self, backend,
-                                                   index_dtype, seed):
-        with use_backend(backend), index_precision(index_dtype):
+    def test_repaired_ops_bitwise_equal_cold_build(self, index_dtype, seed):
+        with index_precision(index_dtype):
             rng = make_rng(seed)
             graph = random_graph(rng)
             graph_ops(graph)                     # build, then mutate
@@ -167,8 +165,8 @@ class TestDenseDifferential:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_consecutive_deltas_compound(self, backend, index_dtype, seed):
-        with use_backend(backend), index_precision(index_dtype):
+    def test_consecutive_deltas_compound(self, index_dtype, seed):
+        with index_precision(index_dtype):
             rng = make_rng(seed)
             graph = random_graph(rng)
             graph_ops(graph)

@@ -123,14 +123,12 @@ class TestGraphStructure:
         assert graph.edges.dtype == np.int64
         assert graph.adjacency.indices.dtype == np.int64
 
-    def test_stack_csr_keeps_int32_and_records_blocks(self):
+    def test_stack_csr_keeps_int32(self):
         graphs = [make_graph(seed=s, num_nodes=n)
                   for s, n in ((1, 40), (2, 64), (3, 25))]
         stacked = stack_csr([g.adjacency for g in graphs])
         assert stacked.indices.dtype == np.int32
         assert stacked.indptr.dtype == np.int32
-        np.testing.assert_array_equal(
-            stacked.block_offsets, np.cumsum([0] + [g.num_nodes for g in graphs]))
         dense = sp.block_diag([g.adjacency for g in graphs],
                               format="csr").toarray()
         np.testing.assert_array_equal(stacked.toarray(), dense)

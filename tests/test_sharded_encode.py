@@ -9,8 +9,7 @@ from repro.api import CommunitySearchEngine
 from repro.core import CGNP, CGNPConfig
 from repro.graph import Graph, ShardedGraph
 from repro.nn import no_grad
-from repro.nn.backend import (available_backends, fused_inference,
-                              index_precision, precision, use_backend)
+from repro.nn.backend import fused_inference, index_precision, precision
 from repro.tasks import QueryExample, Task
 from repro.utils import make_rng
 
@@ -111,20 +110,6 @@ class TestContextParity:
             model.eval()
             _assert_context_parity(model, dense, sharded,
                                    use_structural=True)
-
-    def test_threaded_backend(self, tmp_path):
-        with precision("float32"), fused_inference(False), \
-                use_backend("threaded", num_threads=2):
-            dense, sharded = _graph_pair(tmp_path, num_shards=3)
-            _assert_context_parity(_model("gat"), dense, sharded)
-
-    @pytest.mark.skipif(not available_backends().get("numba", False),
-                        reason="numba not installed")
-    def test_numba_backend(self, tmp_path):  # pragma: no cover
-        with precision("float32"), fused_inference(False), \
-                use_backend("numba"):
-            dense, sharded = _graph_pair(tmp_path, num_shards=3)
-            _assert_context_parity(_model("gcn"), dense, sharded)
 
     def test_requires_eval_mode(self, tmp_path):
         with precision("float32"):
