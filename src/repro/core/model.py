@@ -22,6 +22,7 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..graph import Graph, GraphBatch, ShardedGraph
 from ..nn import functional as F
@@ -29,8 +30,9 @@ from ..nn.backend import (fused_inference_enabled, get_backend,
                           index_dtype_for, resolve_dtype, resolve_index_dtype)
 from ..nn.module import Module
 from ..nn.tensor import Tensor, is_grad_enabled, no_grad
-from ..gnn.conv import GATConv, GCNConv, SAGEConv, graph_ops
-from ..gnn.encoder import GNNEncoder, make_query_features, make_support_features
+from ..gnn.conv import GATConv, GCNConv, SAGEConv, graph_ops, project
+from ..gnn.encoder import (GNNEncoder, make_query_features,
+                           support_indicators, support_stack)
 from ..tasks.task import QueryExample, Task
 from .aggregators import MeanAggregator, SumAggregator, make_aggregator
 from .decoders import make_decoder
@@ -169,17 +171,15 @@ class CGNP(Module):
             if all(k == 1 for k, _ in layout):
                 # 1-shot: views are contexts (encoder fuses per layer
                 # internally when inference allows).
-                hidden = self.encoder(Tensor(stacked, dtype=self.dtype),
-                                      batch)
-                return hidden, offsets
+                return self.encoder(stacked, batch), offsets
             segment = np.concatenate(
-                [np.tile(np.arange(n, dtype=index_dtype), k) + int(offset)
+                [np.arange(k * n, dtype=index_dtype) % n + int(offset)
                  for (k, n), offset in zip(layout, offsets[:-1])])
             if self._fold_active():
                 combined = self._fused_context_fold(tasks, stacked, batch,
                                                     layout, offsets, segment)
                 return combined, offsets
-            hidden = self.encoder(Tensor(stacked, dtype=self.dtype), batch)
+            hidden = self.encoder(stacked, batch)
             combined = F.scatter_add(hidden, segment, int(offsets[-1]))
             if isinstance(self.aggregator, MeanAggregator):
                 inverse_counts = np.concatenate(
@@ -188,7 +188,7 @@ class CGNP(Module):
                 combined = combined * Tensor(inverse_counts[:, None])
             return combined, offsets
 
-        hidden = self.encoder(Tensor(stacked, dtype=self.dtype), batch)
+        hidden = self.encoder(stacked, batch)
 
         contexts: List[Tensor] = []
         row = 0
@@ -219,29 +219,21 @@ class CGNP(Module):
                                ):
         """Collate every support view into one block-diagonal batch.
 
-        Returns ``(stacked_inputs, batch, layout)`` where ``layout`` is
-        the ``(shots, nodes)`` row-block description of each task; the
+        Returns ``(stacked_inputs, batch, layout)``: ``stacked_inputs``
+        is the CSR encoder input of every view (each task's
+        :func:`~repro.gnn.encoder.support_stack`, stacked with
+        ``sp.vstack`` and cast to the model dtype), and ``layout`` is the
+        ``(shots, nodes)`` row-block description of each task; the
         caller runs the encoder (fully, or stopping one layer short on
         the fused serving path).
         """
-        inputs: List[np.ndarray] = []
+        inputs: List[sp.csr_matrix] = []
         replicas: List[Graph] = []
         layout: List[tuple] = []
         for task, examples in zip(tasks, support_sets):
             if not examples:
                 raise ValueError("context requires at least one support example")
-            is_own_support = (len(examples) == len(task.support)
-                              and all(a is b for a, b
-                                      in zip(examples, task.support)))
-            if is_own_support:
-                # Common path: the task's own support stack is cached
-                # across training steps.
-                inputs.append(task.support_features(
-                    self.config.use_attributes, self.config.use_structural))
-            else:
-                features = task.features(self.config.use_attributes,
-                                         self.config.use_structural)
-                inputs.append(make_support_features(features, examples))
+            inputs.append(self._support_input(task, examples))
             replicas.extend([task.graph] * len(examples))
             layout.append((len(examples), task.graph.num_nodes))
         if len(replicas) == 1:
@@ -256,8 +248,25 @@ class CGNP(Module):
                 lambda graph: GraphBatch([graph] * count))
         else:
             batch = GraphBatch(replicas)
-        stacked = inputs[0] if len(inputs) == 1 else np.concatenate(inputs, axis=0)
-        return stacked, batch, layout
+        stacked = (inputs[0] if len(inputs) == 1
+                   else sp.vstack(inputs, format="csr"))
+        return (get_backend().to_operator(stacked, dtype=self.dtype), batch,
+                layout)
+
+    def _support_input(self, task: Task,
+                       examples: Sequence[QueryExample]) -> sp.csr_matrix:
+        """The CSR encoder input of ``examples`` on ``task``'s graph."""
+        config = self.config
+        if (len(examples) == len(task.support)
+                and all(a is b for a, b in zip(examples, task.support))):
+            # Common path: the task's own support stack is cached across
+            # training steps.
+            return task.support_features(config.use_attributes,
+                                         config.use_structural)
+        features = task.sparse_features(config.use_attributes,
+                                        config.use_structural)
+        return support_stack(features,
+                             support_indicators(examples, task.num_nodes))
 
     # ------------------------------------------------------------------
     # Shard-streaming context encoding
@@ -312,8 +321,8 @@ class CGNP(Module):
         graph = task.graph
         k = len(examples)
         n = graph.num_nodes
-        fill = self._sharded_support_fill(task, list(examples))
-        hidden = self.encoder.encode_sharded(graph, fill, replicas=k,
+        inputs = self._sharded_support_rows(task, list(examples))
+        hidden = self.encoder.encode_sharded(graph, inputs, replicas=k,
                                              dtype=self.dtype)
         context = np.zeros((n, int(hidden.shape[1])), dtype=hidden.dtype)
         for view in range(k):
@@ -322,17 +331,19 @@ class CGNP(Module):
             context *= context.dtype.type(1.0 / k)
         return context
 
-    def _sharded_support_fill(self, task: Task,
+    def _sharded_support_rows(self, task: Task,
                               examples: List[QueryExample]):
-        """A filler for the stacked ``(k * n, 1 + d)`` support input.
+        """``inputs(lo, hi)`` for :meth:`GNNEncoder.encode_sharded
+        <repro.gnn.encoder.GNNEncoder.encode_sharded>`: rows ``lo..hi``
+        of every support view's ``[I_l ‖ A]``, as CSR.
 
         When the task reads raw attributes only (no structural channel),
-        the attribute blocks stream straight from the graph's (memmap)
-        feature storage into the arena buffer — the full ``n x d``
-        feature matrix never materialises in anonymous memory.  Any
-        other feature configuration falls back to the task's feature
-        pipeline; the values written are identical either way
-        (:func:`make_support_features` semantics).
+        the rows are read straight from the graph's (memmap) feature
+        storage, one block at a time — the full ``n x d`` feature matrix
+        never materialises in anonymous memory.  Any other feature
+        configuration slices the task's cached CSR features.  Either way
+        the rows are those of :meth:`Task.support_features
+        <repro.tasks.task.Task.support_features>`.
         """
         graph = task.graph
         config = self.config
@@ -340,34 +351,20 @@ class CGNP(Module):
                      else config.use_attributes)
         use_struct = (task.use_structural if config.use_structural is None
                       else config.use_structural)
-        n = graph.num_nodes
-        streaming = (use_attrs and not use_struct
-                     and graph.attributes is not None)
+        indicators = support_indicators(examples, graph.num_nodes)
+        if use_attrs and not use_struct and graph.attributes is not None:
+            def features(lo: int, hi: int) -> sp.csr_matrix:
+                return sp.csr_matrix(graph.attributes[lo:hi])
+        else:
+            sparse = task.sparse_features(use_attrs, use_struct)
 
-        def fill(buffer: np.ndarray) -> None:
-            k = len(examples)
-            if not (streaming
-                    and buffer.shape[1] == graph.num_attributes + 1):
-                features = task.features(use_attrs, use_struct)
-                buffer[:] = make_support_features(features, examples)
-                return
-            for shard in range(graph.num_shards):
-                lo, hi = graph.shard_range(shard)
-                block = graph.attributes[lo:hi]
-                for view in range(k):
-                    base = view * n
-                    buffer[base + lo:base + hi, 0] = 0.0
-                    buffer[base + lo:base + hi, 1:] = block
-            index_dtype = resolve_index_dtype()
-            for view, example in enumerate(examples):
-                base = view * n
-                buffer[base + int(example.query), 0] = 1.0
-                positives = example.positives
-                if positives is not None and len(positives) > 0:
-                    buffer[base + np.asarray(positives,
-                                             dtype=index_dtype), 0] = 1.0
+            def features(lo: int, hi: int) -> sp.csr_matrix:
+                return sparse[lo:hi]
 
-        return fill
+        def inputs(lo: int, hi: int) -> sp.csr_matrix:
+            return support_stack(features(lo, hi), indicators[:, lo:hi])
+
+        return inputs
 
     def _fold_active(self) -> bool:
         """Whether the fused encode-then-aggregate fold may run.
@@ -382,7 +379,7 @@ class CGNP(Module):
                 and not is_grad_enabled() and not self.encoder.activate_final)
 
     def _fused_context_fold(self, tasks: Sequence[Task],
-                            stacked: np.ndarray, batch,
+                            stacked: sp.csr_matrix, batch,
                             layout: Sequence[tuple],
                             offsets: np.ndarray,
                             segment: np.ndarray) -> Tensor:
@@ -411,9 +408,7 @@ class CGNP(Module):
         ~1e-12 relative at float64 (tests pin membership parity as well).
         """
         xp = get_backend()
-        x, ops = self.encoder.encode_hidden(Tensor(stacked, dtype=self.dtype),
-                                            batch)
-        data = x.data
+        x, ops = self.encoder.encode_hidden(stacked, batch)
         total = int(offsets[-1])
         conv = self.encoder.convs[-1]
         mean = isinstance(self.aggregator, MeanAggregator)
@@ -443,7 +438,7 @@ class CGNP(Module):
             agg_dst = segment[np.asarray(ops.edge_dst)]
             accum: Optional[np.ndarray] = None
             for head in range(conv.num_heads):
-                h = xp.matmul(data, conv.weight.data[head])
+                h = project(x, conv.weight[head]).data
                 score_src = (h * conv.attn_src.data[head]).sum(axis=1)
                 score_dst = (h * conv.attn_dst.data[head]).sum(axis=1)
                 raw = (xp.gather_rows(score_src, ops.edge_src)
@@ -460,18 +455,27 @@ class CGNP(Module):
 
         # Linear final layers: pool the penultimate activations first,
         # then run the layer once over the task graphs (cost / k).
-        pooled = xp.scatter_add_rows(data, segment, total)
+        if sp.issparse(x):
+            # One-layer encoder: the penultimate activations are the CSR
+            # input itself, pooled by a 0/1 segment operator.
+            rows = np.arange(segment.size)
+            pool = sp.csr_matrix(
+                (np.ones(segment.size, dtype=x.dtype), (segment, rows)),
+                shape=(total, segment.size))
+            pooled = pool @ x
+        else:
+            pooled = Tensor(xp.scatter_add_rows(x.data, segment, total))
         task_graph = (tasks[0].graph if len(tasks) == 1
                       else GraphBatch([t.graph for t in tasks]))
-        small_ops = graph_ops(task_graph, data.dtype)
+        small_ops = graph_ops(task_graph, pooled.dtype)
         if isinstance(conv, GCNConv):
-            h = xp.matmul(pooled, conv.weight.data)
+            h = project(pooled, conv.weight).data
             return finish(xp.spmm_bias_act(small_ops.norm_adj, h, None, None))
         if isinstance(conv, SAGEConv):
-            neighbor_mean = xp.spmm(small_ops.row_norm_adj, pooled)
-            out = (xp.matmul(pooled, conv.weight_self.data)
-                   + xp.matmul(neighbor_mean, conv.weight_neigh.data))
-            return finish(out)
+            neighbor_mean = xp.spmm(small_ops.row_norm_adj,
+                                    project(pooled, conv.weight_neigh).data)
+            return finish(project(pooled, conv.weight_self).data
+                          + neighbor_mean)
         raise TypeError(  # pragma: no cover - CONV_TYPES is closed
             f"no fused context fold for {type(conv).__name__}")
 

@@ -3,7 +3,7 @@
 from .conv import (CONV_TYPES, GATConv, GCNConv, GraphLike, GraphOps,
                    GraphShardOps, SAGEConv, graph_ops, graph_shard_ops)
 from .encoder import (DEFAULTS, GNNEncoder, GNNNodeClassifier,
-                      make_query_features, make_support_features)
+                      make_query_features, support_indicators, support_stack)
 
 __all__ = [
     "GCNConv",
@@ -18,6 +18,7 @@ __all__ = [
     "GNNEncoder",
     "GNNNodeClassifier",
     "make_query_features",
-    "make_support_features",
+    "support_indicators",
+    "support_stack",
     "DEFAULTS",
 ]

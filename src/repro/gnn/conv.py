@@ -21,6 +21,11 @@ under the ``(op, elem_dtype, index_dtype)`` key convention
 variants coexist on one graph).  A block-diagonal batch adjacency normalises blockwise
 (no edges cross blocks, self-loops are per node), so the same operators
 drive single-graph and batched forwards without aliasing.
+
+Every convolution starts by projecting its input through its weights
+(:func:`project`).  The input is a dense activation, except at layer 0
+of CGNP's encoder, where it is the constant CSR matrix ``[I_l ‖ A]``
+(Eq. 13): the projection then multiplies only the non-zero entries.
 """
 
 from __future__ import annotations
@@ -40,12 +45,16 @@ from ..nn.sparse import normalized_adjacency, row_normalized_adjacency, spmm
 from ..nn.tensor import Tensor
 
 __all__ = ["GraphOps", "GraphLike", "graph_ops",
-           "GraphShardOps", "graph_shard_ops",
+           "GraphShardOps", "graph_shard_ops", "project",
            "GCNConv", "GATConv", "SAGEConv", "CONV_TYPES"]
 
 #: Anything the convolutions can message-pass over: a single graph or a
 #: block-diagonal collation of several.
 GraphLike = Union[Graph, GraphBatch]
+
+#: What a convolution takes as input: a dense activation, or a constant
+#: CSR matrix (an encoder's layer-0 input).
+LayerInput = Union[Tensor, sp.csr_matrix]
 
 #: Cache-key *family* under which :func:`graph_ops` memoises operators;
 #: the concrete key appends the element- and index-dtype names per the
@@ -318,6 +327,21 @@ def graph_shard_ops(graph: "ShardedGraph", dtype=None,
             for i in range(graph.num_shards)]
 
 
+def project(x: LayerInput, weight: Tensor) -> Tensor:
+    """``x @ weight``: the feature projection every convolution starts with.
+
+    ``x`` is a dense activation, or a constant CSR matrix — the encoder's
+    layer-0 input ``[I_l ‖ A]`` (Eq. 13), whose attributes are mostly
+    zero.  The CSR product is :func:`~repro.nn.sparse.spmm`, whose
+    backward is ``xᵀ·G``; it sums each output row over that row's
+    non-zeros only, independently of every other row, so a row block of
+    the input projects to the same bits as the whole matrix.
+    """
+    if sp.issparse(x):
+        return spmm(x, weight)
+    return x.matmul(weight)
+
+
 class GCNConv(Module):
     """Graph convolution of Kipf & Welling."""
 
@@ -329,13 +353,13 @@ class GCNConv(Module):
         self.weight = Parameter(init.glorot_uniform((in_features, out_features), rng))
         self.bias = Parameter(init.zeros_init(out_features)) if bias else None
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
-        out = spmm(ops.norm_adj, x.matmul(self.weight), ops.norm_adj_t)
+    def forward(self, x: LayerInput, ops: GraphOps) -> Tensor:
+        out = spmm(ops.norm_adj, project(x, self.weight), ops.norm_adj_t)
         if self.bias is not None:
             out = out + self.bias
         return out
 
-    def fused_forward(self, x: Tensor, ops: GraphOps,
+    def fused_forward(self, x: LayerInput, ops: GraphOps,
                       act: Optional[str] = None) -> Tensor:
         """Inference-only forward with bias + activation fused into the
         spmm (the epilogue runs in place on the spmm's fresh output).
@@ -344,7 +368,7 @@ class GCNConv(Module):
         dispatch guarantees it.  Bitwise-identical to ``forward``
         followed by the activation.
         """
-        h = x.matmul(self.weight)
+        h = project(x, self.weight)
         bias = None if self.bias is None else self.bias.data
         return Tensor(get_backend().spmm_bias_act(ops.norm_adj, h.data,
                                                   bias, act))
@@ -373,13 +397,13 @@ class GATConv(Module):
         self.attn_dst = Parameter(init.glorot_uniform((num_heads, out_features), rng))
         self.bias = Parameter(init.zeros_init(out_features)) if bias else None
 
-    def _combine_heads(self, x: Tensor, ops: GraphOps) -> Tensor:
+    def _combine_heads(self, x: LayerInput, ops: GraphOps) -> Tensor:
         """Everything up to (excluding) the bias: attention per head,
         messages scattered to destinations, heads averaged."""
         head_outputs = []
         for head in range(self.num_heads):
             weight = self.weight[head]           # (in, out)
-            h = x.matmul(weight)                 # (n, out)
+            h = project(x, weight)               # (n, out)
             score_src = (h * self.attn_src[head]).sum(axis=1)   # (n,)
             score_dst = (h * self.attn_dst[head]).sum(axis=1)   # (n,)
             logits = F.leaky_relu(
@@ -396,13 +420,13 @@ class GATConv(Module):
             out = out * (1.0 / self.num_heads)
         return out
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
+    def forward(self, x: LayerInput, ops: GraphOps) -> Tensor:
         out = self._combine_heads(x, ops)
         if self.bias is not None:
             out = out + self.bias
         return out
 
-    def fused_forward(self, x: Tensor, ops: GraphOps,
+    def fused_forward(self, x: LayerInput, ops: GraphOps,
                       act: Optional[str] = None) -> Tensor:
         """Inference-only forward with the bias + activation epilogue
         fused into one elementwise pass (the attention path itself has no
@@ -425,21 +449,26 @@ class SAGEConv(Module):
         self.weight_neigh = Parameter(init.glorot_uniform((in_features, out_features), rng))
         self.bias = Parameter(init.zeros_init(out_features)) if bias else None
 
-    def forward(self, x: Tensor, ops: GraphOps) -> Tensor:
-        neighbor_mean = spmm(ops.row_norm_adj, x, ops.row_norm_adj_t)
-        out = x.matmul(self.weight_self) + neighbor_mean.matmul(self.weight_neigh)
+    def _mix(self, x: LayerInput, ops: GraphOps) -> Tensor:
+        """``x W_self + mean(x) W_neigh`` with the mean taken after the
+        projection (``D⁻¹A (x W_neigh)``), so a sparse input is only ever
+        multiplied by the dense weights."""
+        neighbor_mean = spmm(ops.row_norm_adj, project(x, self.weight_neigh),
+                             ops.row_norm_adj_t)
+        return project(x, self.weight_self) + neighbor_mean
+
+    def forward(self, x: LayerInput, ops: GraphOps) -> Tensor:
+        out = self._mix(x, ops)
         if self.bias is not None:
             out = out + self.bias
         return out
 
-    def fused_forward(self, x: Tensor, ops: GraphOps,
+    def fused_forward(self, x: LayerInput, ops: GraphOps,
                       act: Optional[str] = None) -> Tensor:
         """Inference-only forward with the bias + activation epilogue
         fused into one elementwise pass after the two-matmul mix.
         Never taped; see ``GCNConv.fused_forward``."""
-        neighbor_mean = spmm(ops.row_norm_adj, x, ops.row_norm_adj_t)
-        out = (x.matmul(self.weight_self)
-               + neighbor_mean.matmul(self.weight_neigh))
+        out = self._mix(x, ops)
         bias = None if self.bias is None else self.bias.data
         return Tensor(get_backend().bias_act(out.data, bias, act))
 

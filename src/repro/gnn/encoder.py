@@ -15,9 +15,11 @@ Paper defaults: 3 layers, 128 hidden units, dropout 0.2, GAT convolution.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..nn import functional as F
 from ..nn.backend import (fused_inference_enabled, get_backend, resolve_dtype,
@@ -25,13 +27,19 @@ from ..nn.backend import (fused_inference_enabled, get_backend, resolve_dtype,
 from ..nn.layers import Dropout
 from ..nn.module import Module, ModuleList
 from ..nn.tensor import Tensor, is_grad_enabled
-from .conv import (CONV_TYPES, GATConv, GCNConv, GraphLike, SAGEConv,
-                   graph_ops, graph_shard_ops)
+from .conv import (CONV_TYPES, GATConv, GCNConv, GraphLike, LayerInput,
+                   SAGEConv, graph_ops, graph_shard_ops)
 
 __all__ = ["GNNEncoder", "GNNNodeClassifier", "make_query_features",
-           "make_support_features", "DEFAULTS"]
+           "support_indicators", "support_stack", "DEFAULTS"]
 
 DEFAULTS = {"num_layers": 3, "hidden_dim": 128, "dropout": 0.2, "conv": "gat"}
+
+#: Dense size (rows x input width) of one layer-0 input block that
+#: :meth:`GNNEncoder.encode_sharded` asks for.  Converting a dense feature
+#: slice to CSR briefly costs ~24 bytes per stored entry, so this bounds
+#: that transient to ~100 MB even when the features have no zeros.
+INPUT_BLOCK_ENTRIES = 1 << 22
 
 
 def _streaming_activation(data: np.ndarray, act: Optional[str]) -> np.ndarray:
@@ -66,28 +74,38 @@ def make_query_features(features: np.ndarray, query: int,
     return np.concatenate([indicator, features], axis=1)
 
 
-def make_support_features(features: np.ndarray, examples: Sequence,
-                          mark_positives: bool = True) -> np.ndarray:
-    """Stacked indicator-prefixed inputs for ``k`` support views of one graph.
+def support_indicators(examples: Sequence, num_nodes: int) -> np.ndarray:
+    """``(k, n)`` boolean mask whose row ``v`` is Eq. 13's identifier
+    ``I_l`` of ``examples[v]``: its query node and known positives."""
+    mask = np.zeros((len(examples), num_nodes), dtype=bool)
+    for view, example in enumerate(examples):
+        mask[view, int(example.query)] = True
+        if len(example.positives) > 0:
+            mask[view, np.asarray(example.positives,
+                                  dtype=resolve_index_dtype())] = True
+    return mask
 
-    Returns a ``(k * n, 1 + d)`` matrix: row block ``i`` is
-    :func:`make_query_features` for ``examples[i]``, matching the node
-    layout of ``GraphBatch.replicate(graph, k)`` — so one batched
-    encoder forward covers every support pair at once (Eq. 13 for the
-    whole support set).
+
+def support_stack(features: sp.csr_matrix,
+                  indicators: np.ndarray) -> sp.csr_matrix:
+    """The Eq. 13 encoder input of ``k`` support views of one graph, as CSR.
+
+    Row block ``v`` is ``[indicators[v] ‖ features]`` —
+    :func:`make_query_features` of support view ``v`` — matching the node
+    layout of ``GraphBatch.replicate(graph, k)``, so one batched encoder
+    forward covers every support pair.  The stack holds ``k·nnz(features)``
+    attribute entries plus one per set indicator; no dense ``(k·n, 1 + d)``
+    array is ever built.
     """
-    if not examples:
-        raise ValueError("make_support_features needs at least one example")
-    n = features.shape[0]
-    k = len(examples)
-    indicator = np.zeros((k * n, 1), dtype=features.dtype)
-    for i, example in enumerate(examples):
-        base = i * n
-        indicator[base + int(example.query), 0] = 1.0
-        positives = example.positives if mark_positives else None
-        if positives is not None and len(positives) > 0:
-            indicator[base + np.asarray(positives, dtype=resolve_index_dtype()), 0] = 1.0
-    return np.concatenate([indicator, np.tile(features, (k, 1))], axis=1)
+    k, n = indicators.shape
+    if k == 0:
+        raise ValueError("support_stack needs at least one support view")
+    rows = np.flatnonzero(indicators)
+    indicator = sp.csr_matrix(
+        (np.ones(rows.size, dtype=features.dtype), (rows, np.zeros_like(rows))),
+        shape=(k * n, 1))
+    return sp.hstack([indicator, sp.vstack([features] * k, format="csr")],
+                     format="csr")
 
 
 class GNNEncoder(Module):
@@ -97,7 +115,9 @@ class GNNEncoder(Module):
     ----------
     in_dim:
         Input feature dimensionality (including the indicator channel when
-        the caller prepends one).
+        the caller prepends one).  The input itself may be a dense
+        :class:`Tensor` or a constant CSR matrix; the first convolution
+        projects either (:func:`~repro.gnn.conv.project`).
     hidden_dim:
         Width of every layer (paper: 128).
     num_layers:
@@ -154,25 +174,26 @@ class GNNEncoder(Module):
         return (fused_inference_enabled() and not self.training
                 and not is_grad_enabled())
 
-    def forward(self, features: Tensor, graph: GraphLike) -> Tensor:
+    def forward(self, features: LayerInput, graph: GraphLike) -> Tensor:
         # Operators are fetched at the activations' own width, so a
         # float32 forward message-passes over float32 adjacencies.
         ops = graph_ops(graph, features.dtype)
         return self._run_layers(features, ops, self.num_layers)
 
-    def encode_hidden(self, features: Tensor, graph: GraphLike):
+    def encode_hidden(self, features: LayerInput, graph: GraphLike):
         """All but the final convolution, plus the graph operators.
 
         Returns ``(hidden, ops)``.  The fused serving path of
         :meth:`repro.core.model.CGNP.context_concat` uses this to stop
         one layer short, aggregate the (cheaper) penultimate activations
         across support replicas, and fold the final layer with the ⊕
-        reduction.
+        reduction.  A one-layer encoder returns ``features`` itself,
+        which may be CSR.
         """
         ops = graph_ops(graph, features.dtype)
         return self._run_layers(features, ops, self.num_layers - 1), ops
 
-    def _run_layers(self, x: Tensor, ops, count: int) -> Tensor:
+    def _run_layers(self, x: LayerInput, ops, count: int) -> LayerInput:
         """The first ``count`` convolutions, fused when inference allows.
 
         The fused path hands each layer its activation name so bias +
@@ -199,22 +220,26 @@ class GNNEncoder(Module):
     # ------------------------------------------------------------------
     # Shard-streaming inference
     # ------------------------------------------------------------------
-    def encode_sharded(self, graph, fill, *, replicas: int = 1,
+    def encode_sharded(self, graph, inputs, *, replicas: int = 1,
                        dtype=None) -> np.ndarray:
         """Inference-only forward over a
         :class:`~repro.graph.shard.ShardedGraph`, one row shard at a time.
 
-        ``fill(buffer)`` must populate the ``(replicas * n, in_dim)``
-        layer-0 input (row block ``v`` is support view ``v``, matching
-        :func:`make_support_features` / ``GraphBatch.replicate`` layout).
-        The input and every layer activation live in the graph's buffer
-        arena — memmap-backed when the graph has a ``memmap_dir`` — so
-        anonymous memory holds only one shard's working set at a time:
-        the dense ``matmul`` against the layer weights always runs
-        full-matrix (identical BLAS shapes to the dense forward — this
-        is what makes the result *bitwise* equal, because BLAS reductions
-        depend on the row count), while the sparse/edge message passing
-        streams per ``(replica, shard)`` with halo gathers.
+        ``inputs(lo, hi)`` must return the layer-0 input rows of nodes
+        ``lo..hi`` for every replica as CSR, replica-major (row
+        ``v * (hi - lo) + i`` is node ``lo + i`` of support view ``v``):
+        the rows of :func:`support_stack` for that node range.  Layer 0
+        projects them one block of at most :data:`INPUT_BLOCK_ENTRIES`
+        dense entries at a time; a CSR product computes each row from
+        that row alone, so the blocks give the whole-matrix bits and the
+        ``(replicas * n, in_dim)`` input is never held.  Every layer
+        activation lives in the graph's buffer arena — memmap-backed
+        when the graph has a ``memmap_dir``.  Later layers' dense
+        ``matmul`` against the weights runs full-matrix (identical BLAS
+        shapes to the dense forward — this is what makes the result
+        *bitwise* equal, because BLAS reductions depend on the row
+        count), while the sparse/edge message passing streams per
+        ``(replica, shard)`` with halo gathers.
 
         Returns the final ``(replicas * n, hidden_dim)`` activation — a
         **reused arena buffer**: copy out anything that must survive the
@@ -228,12 +253,24 @@ class GNNEncoder(Module):
                 "run outside any gradient tape")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
+        xp = get_backend()
         resolved = resolve_dtype(dtype)
         shard_ops = graph_shard_ops(graph, resolved)
         n = graph.num_nodes
         rows = int(replicas) * n
-        x = graph.buffer("enc.x", (rows, self.in_dim), resolved)
-        fill(x)
+
+        step = max(1, INPUT_BLOCK_ENTRIES // self.in_dim)
+
+        def project(weight: np.ndarray) -> np.ndarray:
+            projected = np.empty((replicas, n, weight.shape[1]),
+                                 dtype=resolved)
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                block = xp.to_operator(inputs(lo, hi), dtype=resolved)
+                projected[:, lo:hi] = xp.spmm(block, weight).reshape(
+                    replicas, hi - lo, -1)
+            return projected.reshape(rows, -1)
+
         last = self.num_layers - 1
         act_name = "elu" if self.conv_name == "gat" else "relu"
         for index in range(self.num_layers):
@@ -243,30 +280,32 @@ class GNNEncoder(Module):
             # writes the buffer it reads.
             out = graph.buffer(f"enc.h{index % 2}", (rows, self.hidden_dim),
                                resolved)
-            self._stream_conv(conv, x, out, graph, shard_ops, replicas, n,
-                              act)
-            x = out
-        return x
+            self._stream_conv(conv, project, out, graph, shard_ops, replicas,
+                              n, act)
+            project = functools.partial(xp.matmul, out)
+        return out
 
-    def _stream_conv(self, conv, x, out, graph, shard_ops, replicas: int,
-                     n: int, act: Optional[str]) -> None:
+    def _stream_conv(self, conv, project, out, graph, shard_ops,
+                     replicas: int, n: int, act: Optional[str]) -> None:
+        """One convolution streamed into ``out``; ``project(w)`` is the
+        layer input times ``w``, full-matrix."""
         if isinstance(conv, GCNConv):
-            self._stream_gcn(conv, x, out, shard_ops, replicas, n, act)
+            self._stream_gcn(conv, project, out, shard_ops, replicas, n, act)
         elif isinstance(conv, SAGEConv):
-            self._stream_sage(conv, x, out, graph, shard_ops, replicas, n,
-                              act)
+            self._stream_sage(conv, project, out, graph, shard_ops, replicas,
+                              n, act)
         elif isinstance(conv, GATConv):
-            self._stream_gat(conv, x, out, shard_ops, replicas, n, act)
+            self._stream_gat(conv, project, out, shard_ops, replicas, n, act)
         else:  # pragma: no cover - new conv types must opt in explicitly
             raise TypeError(
                 f"no shard-streaming rule for {type(conv).__name__}")
 
     @staticmethod
-    def _stream_gcn(conv, x, out, shard_ops, replicas: int, n: int,
+    def _stream_gcn(conv, project, out, shard_ops, replicas: int, n: int,
                     act: Optional[str]) -> None:
         """``spmm(norm, x @ W) + b`` streamed per (replica, shard)."""
         xp = get_backend()
-        xw = xp.matmul(x, conv.weight.data)  # full-matrix: bitwise anchor
+        xw = project(conv.weight.data)  # full-matrix: bitwise anchor
         bias = None if conv.bias is None else conv.bias.data
         for v in range(replicas):
             base = v * n
@@ -279,28 +318,28 @@ class GNNEncoder(Module):
         del xw
 
     @staticmethod
-    def _stream_sage(conv, x, out, graph, shard_ops, replicas: int, n: int,
-                     act: Optional[str]) -> None:
-        """Mean-aggregate per shard, then mix with full-matrix matmuls."""
+    def _stream_sage(conv, project, out, graph, shard_ops, replicas: int,
+                     n: int, act: Optional[str]) -> None:
+        """Project full-matrix, mean-aggregate the neighbour projection
+        per shard, then mix."""
         xp = get_backend()
         rows = replicas * n
-        width = int(x.shape[1])
-        # The neighbour means keep the *input* width, so they get their
-        # own arena buffer rather than living in anonymous memory.
-        means = graph.buffer("enc.sage.nm", (rows, width), x.dtype)
+        neigh = project(conv.weight_neigh.data)
+        means = graph.buffer("enc.sage.nm", (rows, int(neigh.shape[1])),
+                             neigh.dtype)
         for v in range(replicas):
             base = v * n
             for ops in shard_ops:
                 means[base + ops.row_start:base + ops.row_stop] = (
-                    xp.spmm(ops.row_norm_adj, x[base + ops.halo]))
-        mixed = (xp.matmul(x, conv.weight_self.data)
-                 + xp.matmul(means, conv.weight_neigh.data))
+                    xp.spmm(ops.row_norm_adj, neigh[base + ops.halo]))
+        del neigh
+        mixed = project(conv.weight_self.data) + means
         if conv.bias is not None:
             mixed = mixed + conv.bias.data
         out[:] = _streaming_activation(mixed, act)
 
     @staticmethod
-    def _stream_gat(conv, x, out, shard_ops, replicas: int, n: int,
+    def _stream_gat(conv, project, out, shard_ops, replicas: int, n: int,
                     act: Optional[str]) -> None:
         """Attention with full-matrix projections/scores and a per
         (replica, shard) edge path.
@@ -312,7 +351,7 @@ class GNNEncoder(Module):
         xp = get_backend()
         heads, scores_src, scores_dst = [], [], []
         for head in range(conv.num_heads):
-            h = xp.matmul(x, conv.weight.data[head])
+            h = project(conv.weight.data[head])
             heads.append(h)
             scores_src.append((h * conv.attn_src.data[head]).sum(axis=1))
             scores_dst.append((h * conv.attn_dst.data[head]).sum(axis=1))

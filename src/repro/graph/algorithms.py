@@ -18,6 +18,7 @@ import collections
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..nn.backend import resolve_dtype
 from .graph import Graph
@@ -121,27 +122,19 @@ def connected_k_core_containing(graph: Graph, k: int, seed: int) -> Optional[Set
 def triangle_counts(graph: Graph) -> np.ndarray:
     """Number of triangles through each node.
 
-    Uses the sorted-adjacency intersection method: for each edge (u, v) the
-    common neighbors |N(u) ∩ N(v)| are triangles; each node of the triangle
-    is credited once per triangle (so every triangle contributes 1 to three
-    nodes, found via its three edges and divided by... none — we enumerate
-    each triangle exactly once with the u < v < w ordering).
+    ``(A·A)[v, w]`` counts the common neighbours of ``v`` and ``w``;
+    masking it with ``A`` keeps adjacent pairs only, so row ``v`` of
+    ``(A·A) ∘ A`` sums to twice the triangles through ``v``: triangle
+    ``{v, a, b}`` is counted at ``(v, a)`` and at ``(v, b)``.  The
+    products run on an integer 0/1 copy of the adjacency, so the counts
+    are exact.
     """
-    counts = np.zeros(graph.num_nodes, dtype=np.int64)
-    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
-    for u, v in graph.edges:
-        u, v = int(u), int(v)
-        nu = indices[indptr[u]:indptr[u + 1]]
-        nv = indices[indptr[v]:indptr[v + 1]]
-        common = np.intersect1d(nu, nv, assume_unique=True)
-        # Only count triangles whose apex w > v keeps each triangle unique
-        # for total counts; but per-node counts need every common neighbor.
-        for w in common:
-            if w > v:  # canonical triangle u < v < w requires u < v already
-                counts[u] += 1
-                counts[v] += 1
-                counts[int(w)] += 1
-    return counts
+    adjacency = graph.adjacency
+    ones = sp.csr_matrix(
+        (np.ones(adjacency.nnz, dtype=np.int64), adjacency.indices,
+         adjacency.indptr), shape=adjacency.shape)
+    closed = (ones @ ones).multiply(ones)
+    return np.asarray(closed.sum(axis=1), dtype=np.int64).ravel() // 2
 
 
 def local_clustering_coefficients(graph: Graph) -> np.ndarray:

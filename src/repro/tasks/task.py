@@ -17,6 +17,7 @@ import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..graph import Graph, node_feature_matrix
 
@@ -109,7 +110,8 @@ class Task:
         self._features: Optional[np.ndarray] = None
         self._feature_config: Optional[Tuple[bool, bool]] = None
         self._feature_version: int = -1
-        self._support_features: Optional[np.ndarray] = None
+        self._sparse_features: Optional[Tuple[np.ndarray, sp.csr_matrix]] = None
+        self._support_features: Optional[sp.csr_matrix] = None
         self._support_features_key: Optional[tuple] = None
         self._label_stack: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._label_stack_key: Optional[tuple] = None
@@ -143,24 +145,42 @@ class Task:
             self._feature_version = version
         return self._features
 
+    def sparse_features(self, use_attributes: Optional[bool] = None,
+                        use_structural: Optional[bool] = None) -> sp.csr_matrix:
+        """CSR copy of :meth:`features`, cached alongside it.
+
+        Attribute matrices are mostly zero (bag-of-words keywords), so
+        the encoder input is built from this copy rather than the dense
+        matrix.
+        """
+        features = self.features(use_attributes, use_structural)
+        if self._sparse_features is None or self._sparse_features[0] is not features:
+            self._sparse_features = (features, sp.csr_matrix(features))
+        return self._sparse_features[1]
+
     def support_features(self, use_attributes: Optional[bool] = None,
-                         use_structural: Optional[bool] = None) -> np.ndarray:
-        """Stacked indicator-prefixed inputs of every support view, cached.
+                         use_structural: Optional[bool] = None) -> sp.csr_matrix:
+        """Stacked indicator-prefixed inputs of every support view, as a
+        cached CSR matrix.
 
         Row block ``i`` is the Eq. 13 encoder input ``[I_l ‖ A]`` of
         support example ``i`` — the layout consumed by the batched
-        encoder (one block per support view).  The stack is step-invariant
-        during meta-training, so it is cached like :meth:`features`; the
-        cache keys on the feature configuration and the identity of the
-        support examples, so replacing the support set invalidates it.
+        encoder (one block per support view), built by
+        :func:`~repro.gnn.encoder.support_stack` from
+        :meth:`sparse_features`, so no dense ``(k·n, 1 + d)`` stack is
+        allocated.  The stack is step-invariant during meta-training, so
+        it is cached like :meth:`features`; the cache keys on the
+        feature configuration and the identity of the support examples,
+        so replacing the support set invalidates it.
         """
-        from ..gnn.encoder import make_support_features
+        from ..gnn.encoder import support_indicators, support_stack
 
-        features = self.features(use_attributes, use_structural)
+        features = self.sparse_features(use_attributes, use_structural)
         key = (self._feature_config, self._feature_version,
                tuple(id(e) for e in self.support))
         if self._support_features is None or self._support_features_key != key:
-            self._support_features = make_support_features(features, self.support)
+            self._support_features = support_stack(
+                features, support_indicators(self.support, self.num_nodes))
             self._support_features_key = key
         return self._support_features
 
@@ -197,7 +217,8 @@ class Task:
     def invalidate_feature_caches(self) -> None:
         """Drop every cached feature view after the task graph mutated.
 
-        :meth:`features` and :meth:`support_features` cache matrices
+        :meth:`features`, :meth:`sparse_features` and
+        :meth:`support_features` cache matrices
         computed from the graph's attributes and structure; after a
         :class:`~repro.graph.delta.GraphDelta` patches the graph they
         describe a state that no longer exists, and an encoder forward
@@ -213,6 +234,7 @@ class Task:
         self._features = None
         self._feature_config = None
         self._feature_version = -1
+        self._sparse_features = None
         self._support_features = None
         self._support_features_key = None
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     Graph,
@@ -29,6 +31,24 @@ from repro.graph import (
 from repro.utils import make_rng
 
 from helpers import path_graph, triangle_graph, two_cliques_graph
+
+
+def loop_triangle_counts(graph: Graph) -> np.ndarray:
+    """The per-edge intersection loop ``triangle_counts`` replaced, kept
+    as its reference: each triangle u < v < w is found once, from its
+    edge (u, v), and credited to all three nodes."""
+    counts = np.zeros(graph.num_nodes, dtype=np.int64)
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
+    for u, v in graph.edges:
+        u, v = int(u), int(v)
+        nu = indices[indptr[u]:indptr[u + 1]]
+        nv = indices[indptr[v]:indptr[v + 1]]
+        for w in np.intersect1d(nu, nv, assume_unique=True):
+            if w > v:
+                counts[u] += 1
+                counts[v] += 1
+                counts[int(w)] += 1
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +107,18 @@ class TestTriangles:
         theirs = nx.triangles(to_networkx(random_graph))
         for node in range(random_graph.num_nodes):
             assert ours[node] == theirs[node], f"node {node}"
+
+    @given(num_nodes=st.integers(1, 30),
+           pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                          max_size=150))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_reference(self, num_nodes, pairs):
+        edges = [(u % num_nodes, v % num_nodes) for u, v in pairs]
+        graph = Graph(num_nodes, np.asarray(edges, dtype=np.int64)
+                      .reshape(-1, 2))
+        ours = triangle_counts(graph)
+        assert ours.dtype == np.int64
+        np.testing.assert_array_equal(ours, loop_triangle_counts(graph))
 
     def test_clustering_matches_networkx(self, random_graph):
         ours = local_clustering_coefficients(random_graph)

@@ -19,7 +19,7 @@ from repro.api import CommunitySearchEngine
 from repro.baselines.common import batch_loss, example_loss, predict_task_proba
 from repro.core import CGNP, CGNPConfig, make_aggregator, task_batch_loss, task_loss
 from repro.gnn import (GNNEncoder, GNNNodeClassifier, graph_ops,
-                       make_query_features, make_support_features)
+                       make_query_features)
 from repro.gnn.conv import GRAPH_OPS_KEY
 from repro.graph import Graph, GraphBatch, attributed_community_graph
 from repro.nn import Tensor
@@ -199,14 +199,20 @@ class TestBatchedEncoderEquivalence:
                        for x, g in zip(features, graphs)]
         np.testing.assert_allclose(batched, np.concatenate(singles), atol=ATOL)
 
-    def test_make_support_features_matches_per_view(self, ragged_tasks):
+    def test_support_features_match_per_view(self, ragged_tasks):
         task = ragged_tasks[1]
         features = task.features()
-        stacked = make_support_features(features, task.support)
+        stacked = task.support_features()
         per_view = np.concatenate(
             [make_query_features(features, e.query, e.positives)
              for e in task.support])
-        np.testing.assert_array_equal(stacked, per_view)
+        assert stacked.format == "csr"
+        np.testing.assert_array_equal(stacked.toarray(), per_view)
+        # Sparse storage: k copies of the attribute non-zeros plus one
+        # entry per set indicator, never the dense k·n·(1 + d) tile.
+        indicator_entries = int(np.count_nonzero(per_view[:, 0]))
+        assert stacked.nnz == (len(task.support) * np.count_nonzero(features)
+                               + indicator_entries)
 
 
 class TestAggregatorStackedViews:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import CommunitySearchEngine
 from repro.core import CGNP, CGNPConfig
+from repro.gnn import encoder as encoder_module
 from repro.graph import Graph, ShardedGraph
 from repro.nn import no_grad
 from repro.nn.backend import fused_inference, index_precision, precision
@@ -110,6 +111,17 @@ class TestContextParity:
             model.eval()
             _assert_context_parity(model, dense, sharded,
                                    use_structural=True)
+
+    @pytest.mark.parametrize("conv", ["gcn", "gat", "sage"])
+    def test_bitwise_with_small_input_blocks(self, tmp_path, monkeypatch,
+                                             conv):
+        """Layer 0 projects the CSR input in row blocks that cut across
+        shards; the bits must not depend on where the cuts fall."""
+        monkeypatch.setattr(encoder_module, "INPUT_BLOCK_ENTRIES",
+                            7 * (D + 1))
+        with precision("float64"), fused_inference(False):
+            dense, sharded = _graph_pair(tmp_path, num_shards=3)
+            _assert_context_parity(_model(conv), dense, sharded, shots=3)
 
     def test_requires_eval_mode(self, tmp_path):
         with precision("float32"):
