@@ -22,7 +22,6 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph import Graph, GraphBatch, ShardedGraph
 from ..nn import functional as F
@@ -31,8 +30,8 @@ from ..nn.backend import (fused_inference_enabled, get_backend,
 from ..nn.module import Module
 from ..nn.tensor import Tensor, is_grad_enabled, no_grad
 from ..gnn.conv import GATConv, GCNConv, SAGEConv, graph_ops, project
-from ..gnn.encoder import (GNNEncoder, make_query_features,
-                           support_indicators, support_stack)
+from ..gnn.encoder import (GNNEncoder, SupportInput, layer0_features,
+                           make_query_features, support_indicators)
 from ..tasks.task import QueryExample, Task
 from .aggregators import MeanAggregator, SumAggregator, make_aggregator
 from .decoders import make_decoder
@@ -220,20 +219,19 @@ class CGNP(Module):
         """Collate every support view into one block-diagonal batch.
 
         Returns ``(stacked_inputs, batch, layout)``: ``stacked_inputs``
-        is the CSR encoder input of every view (each task's
-        :func:`~repro.gnn.encoder.support_stack`, stacked with
-        ``sp.vstack`` and cast to the model dtype), and ``layout`` is the
-        ``(shots, nodes)`` row-block description of each task; the
-        caller runs the encoder (fully, or stopping one layer short on
-        the fused serving path).
+        is the :class:`~repro.gnn.encoder.SupportInput` of every view
+        (each task's features and indicator mask, at the model dtype), and
+        ``layout`` is the ``(shots, nodes)`` row-block description of
+        each task; the caller runs the encoder (fully, or stopping one
+        layer short on the fused serving path).
         """
-        inputs: List[sp.csr_matrix] = []
+        blocks: List[tuple] = []
         replicas: List[Graph] = []
         layout: List[tuple] = []
         for task, examples in zip(tasks, support_sets):
             if not examples:
                 raise ValueError("context requires at least one support example")
-            inputs.append(self._support_input(task, examples))
+            blocks.extend(self._support_input(task, examples).blocks)
             replicas.extend([task.graph] * len(examples))
             layout.append((len(examples), task.graph.num_nodes))
         if len(replicas) == 1:
@@ -248,25 +246,22 @@ class CGNP(Module):
                 lambda graph: GraphBatch([graph] * count))
         else:
             batch = GraphBatch(replicas)
-        stacked = (inputs[0] if len(inputs) == 1
-                   else sp.vstack(inputs, format="csr"))
-        return (get_backend().to_operator(stacked, dtype=self.dtype), batch,
-                layout)
+        return SupportInput(blocks).astype(self.dtype), batch, layout
 
     def _support_input(self, task: Task,
-                       examples: Sequence[QueryExample]) -> sp.csr_matrix:
-        """The CSR encoder input of ``examples`` on ``task``'s graph."""
+                       examples: Sequence[QueryExample]) -> SupportInput:
+        """The Eq. 13 encoder input of ``examples`` on ``task``'s graph."""
         config = self.config
         if (len(examples) == len(task.support)
                 and all(a is b for a, b in zip(examples, task.support))):
-            # Common path: the task's own support stack is cached across
+            # Common path: the task's own support input is cached across
             # training steps.
             return task.support_features(config.use_attributes,
                                          config.use_structural)
-        features = task.sparse_features(config.use_attributes,
-                                        config.use_structural)
-        return support_stack(features,
-                             support_indicators(examples, task.num_nodes))
+        features = task.encoder_features(config.use_attributes,
+                                         config.use_structural)
+        return SupportInput(
+            [(features, support_indicators(examples, task.num_nodes))])
 
     # ------------------------------------------------------------------
     # Shard-streaming context encoding
@@ -321,8 +316,8 @@ class CGNP(Module):
         graph = task.graph
         k = len(examples)
         n = graph.num_nodes
-        inputs = self._sharded_support_rows(task, list(examples))
-        hidden = self.encoder.encode_sharded(graph, inputs, replicas=k,
+        support = self._sharded_support_input(task, list(examples))
+        hidden = self.encoder.encode_sharded(graph, support,
                                              dtype=self.dtype)
         context = np.zeros((n, int(hidden.shape[1])), dtype=hidden.dtype)
         for view in range(k):
@@ -331,19 +326,19 @@ class CGNP(Module):
             context *= context.dtype.type(1.0 / k)
         return context
 
-    def _sharded_support_rows(self, task: Task,
-                              examples: List[QueryExample]):
-        """``inputs(lo, hi)`` for :meth:`GNNEncoder.encode_sharded
-        <repro.gnn.encoder.GNNEncoder.encode_sharded>`: rows ``lo..hi``
-        of every support view's ``[I_l ‖ A]``, as CSR.
+    def _sharded_support_input(self, task: Task,
+                               examples: List[QueryExample]) -> SupportInput:
+        """The support input of :meth:`GNNEncoder.encode_sharded
+        <repro.gnn.encoder.GNNEncoder.encode_sharded>`, equal to the one
+        the dense path collates.
 
         When the task reads raw attributes only (no structural channel),
-        the rows are read straight from the graph's (memmap) feature
-        storage, one block at a time — the full ``n x d`` feature matrix
-        never materialises in anonymous memory.  Any other feature
-        configuration slices the task's cached CSR features.  Either way
-        the rows are those of :meth:`Task.support_features
-        <repro.tasks.task.Task.support_features>`.
+        the features come straight from the graph's (memmap) feature
+        storage: a CSR copy when they are mostly zero, otherwise the
+        storage itself, so the full ``n x d`` matrix never materialises
+        in anonymous memory (at another width it is cast into an arena
+        buffer).  Any other feature configuration uses the task's
+        :meth:`~repro.tasks.task.Task.encoder_features`.
         """
         graph = task.graph
         config = self.config
@@ -351,20 +346,17 @@ class CGNP(Module):
                      else config.use_attributes)
         use_struct = (task.use_structural if config.use_structural is None
                       else config.use_structural)
-        indicators = support_indicators(examples, graph.num_nodes)
         if use_attrs and not use_struct and graph.attributes is not None:
-            def features(lo: int, hi: int) -> sp.csr_matrix:
-                return sp.csr_matrix(graph.attributes[lo:hi])
+            features = graph.attributes
+            if features.dtype != self.dtype:
+                features = graph.buffer("enc.x", features.shape, self.dtype)
+                features[:] = graph.attributes
+            features = layer0_features(features, self.dtype)
         else:
-            sparse = task.sparse_features(use_attrs, use_struct)
-
-            def features(lo: int, hi: int) -> sp.csr_matrix:
-                return sparse[lo:hi]
-
-        def inputs(lo: int, hi: int) -> sp.csr_matrix:
-            return support_stack(features(lo, hi), indicators[:, lo:hi])
-
-        return inputs
+            features = task.encoder_features(use_attrs, use_struct)
+        return SupportInput(
+            [(features, support_indicators(examples, graph.num_nodes))]
+        ).astype(self.dtype)
 
     def _fold_active(self) -> bool:
         """Whether the fused encode-then-aggregate fold may run.
@@ -379,7 +371,7 @@ class CGNP(Module):
                 and not is_grad_enabled() and not self.encoder.activate_final)
 
     def _fused_context_fold(self, tasks: Sequence[Task],
-                            stacked: sp.csr_matrix, batch,
+                            stacked: SupportInput, batch,
                             layout: Sequence[tuple],
                             offsets: np.ndarray,
                             segment: np.ndarray) -> Tensor:
@@ -455,27 +447,27 @@ class CGNP(Module):
 
         # Linear final layers: pool the penultimate activations first,
         # then run the layer once over the task graphs (cost / k).
-        if sp.issparse(x):
-            # One-layer encoder: the penultimate activations are the CSR
-            # input itself, pooled by a 0/1 segment operator.
-            rows = np.arange(segment.size)
-            pool = sp.csr_matrix(
-                (np.ones(segment.size, dtype=x.dtype), (segment, rows)),
-                shape=(total, segment.size))
-            pooled = pool @ x
-        else:
+        if isinstance(x, Tensor):
             pooled = Tensor(xp.scatter_add_rows(x.data, segment, total))
+
+            def pooled_projection(weight: Tensor) -> np.ndarray:
+                return project(pooled, weight).data
+        else:
+            # One-layer encoder: x is the support input itself, whose
+            # projection already shares one product across the views.
+            def pooled_projection(weight: Tensor) -> np.ndarray:
+                return xp.scatter_add_rows(project(x, weight).data, segment,
+                                           total)
         task_graph = (tasks[0].graph if len(tasks) == 1
                       else GraphBatch([t.graph for t in tasks]))
-        small_ops = graph_ops(task_graph, pooled.dtype)
+        small_ops = graph_ops(task_graph, x.dtype)
         if isinstance(conv, GCNConv):
-            h = project(pooled, conv.weight).data
+            h = pooled_projection(conv.weight)
             return finish(xp.spmm_bias_act(small_ops.norm_adj, h, None, None))
         if isinstance(conv, SAGEConv):
             neighbor_mean = xp.spmm(small_ops.row_norm_adj,
-                                    project(pooled, conv.weight_neigh).data)
-            return finish(project(pooled, conv.weight_self).data
-                          + neighbor_mean)
+                                    pooled_projection(conv.weight_neigh))
+            return finish(pooled_projection(conv.weight_self) + neighbor_mean)
         raise TypeError(  # pragma: no cover - CONV_TYPES is closed
             f"no fused context fold for {type(conv).__name__}")
 

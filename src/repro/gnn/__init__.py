@@ -2,8 +2,9 @@
 
 from .conv import (CONV_TYPES, GATConv, GCNConv, GraphLike, GraphOps,
                    GraphShardOps, SAGEConv, graph_ops, graph_shard_ops)
-from .encoder import (DEFAULTS, GNNEncoder, GNNNodeClassifier,
-                      make_query_features, support_indicators, support_stack)
+from .encoder import (DEFAULTS, GNNEncoder, GNNNodeClassifier, SupportInput,
+                      layer0_features, make_query_features,
+                      support_indicators)
 
 __all__ = [
     "GCNConv",
@@ -19,6 +20,7 @@ __all__ = [
     "GNNNodeClassifier",
     "make_query_features",
     "support_indicators",
-    "support_stack",
+    "layer0_features",
+    "SupportInput",
     "DEFAULTS",
 ]

@@ -24,14 +24,16 @@ drive single-graph and batched forwards without aliasing.
 
 Every convolution starts by projecting its input through its weights
 (:func:`project`).  The input is a dense activation, except at layer 0
-of CGNP's encoder, where it is the constant CSR matrix ``[I_l ‖ A]``
-(Eq. 13): the projection then multiplies only the non-zero entries.
+of CGNP's encoder, where it is the Eq. 13 input ``[I_l ‖ A]`` of every
+support view, held factored (:class:`~repro.gnn.encoder.SupportInput`):
+the projection then multiplies each graph's features once, as CSR when
+they are mostly zero.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +46,9 @@ from ..nn.module import Module, Parameter
 from ..nn.sparse import normalized_adjacency, row_normalized_adjacency, spmm
 from ..nn.tensor import Tensor
 
+if TYPE_CHECKING:
+    from .encoder import SupportInput
+
 __all__ = ["GraphOps", "GraphLike", "graph_ops",
            "GraphShardOps", "graph_shard_ops", "project",
            "GCNConv", "GATConv", "SAGEConv", "CONV_TYPES"]
@@ -52,9 +57,9 @@ __all__ = ["GraphOps", "GraphLike", "graph_ops",
 #: block-diagonal collation of several.
 GraphLike = Union[Graph, GraphBatch]
 
-#: What a convolution takes as input: a dense activation, or a constant
-#: CSR matrix (an encoder's layer-0 input).
-LayerInput = Union[Tensor, sp.csr_matrix]
+#: What a convolution takes as input: a dense activation, or an encoder's
+#: layer-0 support input.
+LayerInput = Union[Tensor, "SupportInput"]
 
 #: Cache-key *family* under which :func:`graph_ops` memoises operators;
 #: the concrete key appends the element- and index-dtype names per the
@@ -330,16 +335,14 @@ def graph_shard_ops(graph: "ShardedGraph", dtype=None,
 def project(x: LayerInput, weight: Tensor) -> Tensor:
     """``x @ weight``: the feature projection every convolution starts with.
 
-    ``x`` is a dense activation, or a constant CSR matrix — the encoder's
-    layer-0 input ``[I_l ‖ A]`` (Eq. 13), whose attributes are mostly
-    zero.  The CSR product is :func:`~repro.nn.sparse.spmm`, whose
-    backward is ``xᵀ·G``; it sums each output row over that row's
-    non-zeros only, independently of every other row, so a row block of
-    the input projects to the same bits as the whole matrix.
+    ``x`` is a dense activation, or at layer 0 of CGNP's encoder the
+    factored Eq. 13 input ``[I_l ‖ A]`` of every support view
+    (:class:`~repro.gnn.encoder.SupportInput`), which projects each
+    graph's features once and shares the product across its views.
     """
-    if sp.issparse(x):
-        return spmm(x, weight)
-    return x.matmul(weight)
+    if isinstance(x, Tensor):
+        return x.matmul(weight)
+    return x.project(weight)
 
 
 class GCNConv(Module):
@@ -451,8 +454,8 @@ class SAGEConv(Module):
 
     def _mix(self, x: LayerInput, ops: GraphOps) -> Tensor:
         """``x W_self + mean(x) W_neigh`` with the mean taken after the
-        projection (``D⁻¹A (x W_neigh)``), so a sparse input is only ever
-        multiplied by the dense weights."""
+        projection (``D⁻¹A (x W_neigh)``), so a support input is only
+        ever projected, never aggregated."""
         neighbor_mean = spmm(ops.row_norm_adj, project(x, self.weight_neigh),
                              ops.row_norm_adj_t)
         return project(x, self.weight_self) + neighbor_mean

@@ -16,7 +16,7 @@ Paper defaults: 3 layers, 128 hidden units, dropout 0.2, GAT convolution.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,15 +31,20 @@ from .conv import (CONV_TYPES, GATConv, GCNConv, GraphLike, LayerInput,
                    SAGEConv, graph_ops, graph_shard_ops)
 
 __all__ = ["GNNEncoder", "GNNNodeClassifier", "make_query_features",
-           "support_indicators", "support_stack", "DEFAULTS"]
+           "support_indicators", "layer0_features", "SupportInput",
+           "SPARSE_DENSITY", "DEFAULTS"]
 
 DEFAULTS = {"num_layers": 3, "hidden_dim": 128, "dropout": 0.2, "conv": "gat"}
 
-#: Dense size (rows x input width) of one layer-0 input block that
-#: :meth:`GNNEncoder.encode_sharded` asks for.  Converting a dense feature
-#: slice to CSR briefly costs ~24 bytes per stored entry, so this bounds
-#: that transient to ~100 MB even when the features have no zeros.
-INPUT_BLOCK_ENTRIES = 1 << 22
+#: Largest fraction of non-zero entries at which :func:`layer0_features`
+#: keeps a feature matrix as CSR.  A CSR product costs per non-zero, a
+#: BLAS one per entry.  Single-threaded on a 2-vCPU host, over widths
+#: 512-1433 and 16-128 output columns, CSR ran 2-20x faster at 1-5 %
+#: density, 1-2.2x at 10 % and 0.5-1.1x at 20 %.
+SPARSE_DENSITY = 0.1
+
+#: A feature matrix as layer 0 stores it: CSR or dense.
+Layer0Features = Union[np.ndarray, sp.csr_matrix]
 
 
 def _streaming_activation(data: np.ndarray, act: Optional[str]) -> np.ndarray:
@@ -74,6 +79,19 @@ def make_query_features(features: np.ndarray, query: int,
     return np.concatenate([indicator, features], axis=1)
 
 
+def layer0_features(features: np.ndarray, dtype=None) -> Layer0Features:
+    """``features`` at ``dtype`` in the storage its layer-0 product is
+    fastest for: CSR when at most :data:`SPARSE_DENSITY` of the entries
+    are non-zero (bag-of-words attributes), the dense matrix itself
+    otherwise — uncopied when it already has the width, so a memmap
+    stays file-backed.
+    """
+    resolved = resolve_dtype(dtype)
+    if np.count_nonzero(features) > SPARSE_DENSITY * features.size:
+        return features.astype(resolved, copy=False)
+    return get_backend().to_operator(sp.csr_matrix(features), dtype=resolved)
+
+
 def support_indicators(examples: Sequence, num_nodes: int) -> np.ndarray:
     """``(k, n)`` boolean mask whose row ``v`` is Eq. 13's identifier
     ``I_l`` of ``examples[v]``: its query node and known positives."""
@@ -86,26 +104,98 @@ def support_indicators(examples: Sequence, num_nodes: int) -> np.ndarray:
     return mask
 
 
-def support_stack(features: sp.csr_matrix,
-                  indicators: np.ndarray) -> sp.csr_matrix:
-    """The Eq. 13 encoder input of ``k`` support views of one graph, as CSR.
+class SupportInput:
+    """CGNP's layer-0 input ``[I_l ‖ A]`` (Eq. 13) for every support view,
+    held factored: each graph's features once plus its views' indicators.
 
-    Row block ``v`` is ``[indicators[v] ‖ features]`` —
-    :func:`make_query_features` of support view ``v`` — matching the node
-    layout of ``GraphBatch.replicate(graph, k)``, so one batched encoder
-    forward covers every support pair.  The stack holds ``k·nnz(features)``
-    attribute entries plus one per set indicator; no dense ``(k·n, 1 + d)``
-    array is ever built.
+    ``blocks`` holds one ``(features, indicators)`` pair per task graph:
+    the graph's ``(n, d)`` features in their :func:`layer0_features`
+    storage (CSR or dense) and the ``(k, n)`` :func:`support_indicators`
+    mask of its ``k`` views.  The rows it stands for are block-major,
+    then view-major — row ``v·n + i`` of a block is node ``i`` of view
+    ``v``, the node layout of ``GraphBatch.replicate`` and of CGNP's
+    collated batches — but the ``(k·n, 1 + d)`` tile is never built:
+    :meth:`project` multiplies each graph's features once and shares the
+    product across its views.
     """
-    k, n = indicators.shape
-    if k == 0:
-        raise ValueError("support_stack needs at least one support view")
-    rows = np.flatnonzero(indicators)
-    indicator = sp.csr_matrix(
-        (np.ones(rows.size, dtype=features.dtype), (rows, np.zeros_like(rows))),
-        shape=(k * n, 1))
-    return sp.hstack([indicator, sp.vstack([features] * k, format="csr")],
-                     format="csr")
+
+    def __init__(self, blocks: Sequence[Tuple[Layer0Features, np.ndarray]]):
+        self.blocks = list(blocks)
+        if not self.blocks or any(ind.shape[0] == 0 for _, ind in self.blocks):
+            raise ValueError("SupportInput needs at least one support view")
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.blocks[0][0].dtype
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        rows = sum(indicators.size for _, indicators in self.blocks)
+        return rows, 1 + int(self.blocks[0][0].shape[1])
+
+    def astype(self, dtype) -> "SupportInput":
+        """The same input with every feature block at ``dtype`` (copied
+        only where the width differs)."""
+        target = resolve_dtype(dtype)
+        return SupportInput([(features.astype(target, copy=False), indicators)
+                             for features, indicators in self.blocks])
+
+    def project(self, weight: Tensor) -> Tensor:
+        """``[I_l ‖ A] @ weight``, differentiable in ``weight``.
+
+        Per graph, ``A @ weight[1:]`` is one product over the features —
+        sparse over the non-zeros when they are CSR, BLAS when dense —
+        shared by the graph's views, and each view adds ``weight[0]`` on
+        its indicator rows.  The backward is ``Aᵀ·Σ_v G_v`` into
+        ``weight[1:]`` and the indicator rows' gradient sum into
+        ``weight[0]``.  Shard streaming calls this on the whole feature
+        matrix too, so both paths get the same bits (a BLAS product's
+        bits depend on its row count).
+        """
+        w = weight.data
+        out = np.empty((self.shape[0], w.shape[1]), dtype=w.dtype)
+        starts, marked, row = [], [], 0
+        for features, indicators in self.blocks:
+            k, n = indicators.shape
+            out[row:row + k * n].reshape(k, n, -1)[:] = _product(features,
+                                                                 w[1:])
+            starts.append(row)
+            marked.append(row + np.flatnonzero(indicators))
+            row += k * n
+        marked = np.concatenate(marked)
+        out[marked] += w[0]
+
+        def backward(grad: np.ndarray) -> None:
+            view_sums = [
+                grad[start:start + ind.size].reshape(ind.shape + (-1,)).sum(
+                    axis=0)
+                for start, (_, ind) in zip(starts, self.blocks)]
+            full = np.empty_like(w)
+            full[1:] = _product(self._stacked_features().T,
+                                np.concatenate(view_sums))
+            full[0] = grad[marked].sum(axis=0)
+            Tensor._accumulate(weight, full)
+
+        return Tensor._make(out, (weight,), backward)
+
+    def _stacked_features(self) -> Layer0Features:
+        """Every graph's features stacked by rows, so the backward's
+        ``Aᵀ·G`` is one product for the whole batch."""
+        features = [f for f, _ in self.blocks]
+        if len(features) == 1:
+            return features[0]
+        if any(sp.issparse(f) for f in features):
+            return sp.vstack(features, format="csr")
+        return np.concatenate(features)
+
+
+def _product(features, dense: np.ndarray) -> np.ndarray:
+    """``features @ dense`` through the backend: spmm when ``features``
+    is sparse, matmul when dense."""
+    xp = get_backend()
+    if sp.issparse(features):
+        return xp.spmm(features, dense)
+    return xp.matmul(features, dense)
 
 
 class GNNEncoder(Module):
@@ -116,7 +206,7 @@ class GNNEncoder(Module):
     in_dim:
         Input feature dimensionality (including the indicator channel when
         the caller prepends one).  The input itself may be a dense
-        :class:`Tensor` or a constant CSR matrix; the first convolution
+        :class:`Tensor` or a :class:`SupportInput`; the first convolution
         projects either (:func:`~repro.gnn.conv.project`).
     hidden_dim:
         Width of every layer (paper: 128).
@@ -188,7 +278,7 @@ class GNNEncoder(Module):
         one layer short, aggregate the (cheaper) penultimate activations
         across support replicas, and fold the final layer with the ⊕
         reduction.  A one-layer encoder returns ``features`` itself,
-        which may be CSR.
+        which may be a :class:`SupportInput`.
         """
         ops = graph_ops(graph, features.dtype)
         return self._run_layers(features, ops, self.num_layers - 1), ops
@@ -220,25 +310,22 @@ class GNNEncoder(Module):
     # ------------------------------------------------------------------
     # Shard-streaming inference
     # ------------------------------------------------------------------
-    def encode_sharded(self, graph, inputs, *, replicas: int = 1,
+    def encode_sharded(self, graph, support: SupportInput, *,
                        dtype=None) -> np.ndarray:
         """Inference-only forward over a
         :class:`~repro.graph.shard.ShardedGraph`, one row shard at a time.
 
-        ``inputs(lo, hi)`` must return the layer-0 input rows of nodes
-        ``lo..hi`` for every replica as CSR, replica-major (row
-        ``v * (hi - lo) + i`` is node ``lo + i`` of support view ``v``):
-        the rows of :func:`support_stack` for that node range.  Layer 0
-        projects them one block of at most :data:`INPUT_BLOCK_ENTRIES`
-        dense entries at a time; a CSR product computes each row from
-        that row alone, so the blocks give the whole-matrix bits and the
-        ``(replicas * n, in_dim)`` input is never held.  Every layer
-        activation lives in the graph's buffer arena — memmap-backed
-        when the graph has a ``memmap_dir``.  Later layers' dense
-        ``matmul`` against the weights runs full-matrix (identical BLAS
-        shapes to the dense forward — this is what makes the result
-        *bitwise* equal, because BLAS reductions depend on the row
-        count), while the sparse/edge message passing streams per
+        ``support`` is the layer-0 input of every support view of
+        ``graph`` (row block ``v`` is view ``v``, the
+        ``GraphBatch.replicate`` layout).  Layer 0 projects it exactly as
+        the dense forward does: the features once, over the whole matrix
+        (a dense memmap stays file-backed).  Every layer activation lives
+        in the graph's buffer arena — memmap-backed when the graph has a
+        ``memmap_dir``.  The dense ``matmul`` against the weights always
+        runs full-matrix
+        (identical BLAS shapes to the dense forward — this is what makes
+        the result *bitwise* equal, because BLAS reductions depend on the
+        row count), while the sparse/edge message passing streams per
         ``(replica, shard)`` with halo gathers.
 
         Returns the final ``(replicas * n, hidden_dim)`` activation — a
@@ -251,25 +338,15 @@ class GNNEncoder(Module):
             raise RuntimeError(
                 "encode_sharded is inference-only: call model.eval() and "
                 "run outside any gradient tape")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         xp = get_backend()
         resolved = resolve_dtype(dtype)
         shard_ops = graph_shard_ops(graph, resolved)
         n = graph.num_nodes
-        rows = int(replicas) * n
-
-        step = max(1, INPUT_BLOCK_ENTRIES // self.in_dim)
+        rows = int(support.shape[0])
+        replicas = rows // n
 
         def project(weight: np.ndarray) -> np.ndarray:
-            projected = np.empty((replicas, n, weight.shape[1]),
-                                 dtype=resolved)
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                block = xp.to_operator(inputs(lo, hi), dtype=resolved)
-                projected[:, lo:hi] = xp.spmm(block, weight).reshape(
-                    replicas, hi - lo, -1)
-            return projected.reshape(rows, -1)
+            return support.project(Tensor(weight)).data
 
         last = self.num_layers - 1
         act_name = "elu" if self.conv_name == "gat" else "relu"

@@ -17,7 +17,6 @@ import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph import Graph, node_feature_matrix
 
@@ -110,8 +109,8 @@ class Task:
         self._features: Optional[np.ndarray] = None
         self._feature_config: Optional[Tuple[bool, bool]] = None
         self._feature_version: int = -1
-        self._sparse_features: Optional[Tuple[np.ndarray, sp.csr_matrix]] = None
-        self._support_features: Optional[sp.csr_matrix] = None
+        self._encoder_features: Optional[tuple] = None
+        self._support_features = None
         self._support_features_key: Optional[tuple] = None
         self._label_stack: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._label_stack_key: Optional[tuple] = None
@@ -145,42 +144,43 @@ class Task:
             self._feature_version = version
         return self._features
 
-    def sparse_features(self, use_attributes: Optional[bool] = None,
-                        use_structural: Optional[bool] = None) -> sp.csr_matrix:
-        """CSR copy of :meth:`features`, cached alongside it.
-
-        Attribute matrices are mostly zero (bag-of-words keywords), so
-        the encoder input is built from this copy rather than the dense
-        matrix.
+    def encoder_features(self, use_attributes: Optional[bool] = None,
+                         use_structural: Optional[bool] = None):
+        """:meth:`features` in the storage the encoder's layer 0 projects
+        fastest (:func:`~repro.gnn.encoder.layer0_features`), cached
+        alongside them: a CSR copy when they are mostly zero (bag-of-words
+        keywords), else the dense matrix itself.
         """
+        from ..gnn.encoder import layer0_features
+
         features = self.features(use_attributes, use_structural)
-        if self._sparse_features is None or self._sparse_features[0] is not features:
-            self._sparse_features = (features, sp.csr_matrix(features))
-        return self._sparse_features[1]
+        if self._encoder_features is None or self._encoder_features[0] is not features:
+            self._encoder_features = (features,
+                                      layer0_features(features, features.dtype))
+        return self._encoder_features[1]
 
     def support_features(self, use_attributes: Optional[bool] = None,
-                         use_structural: Optional[bool] = None) -> sp.csr_matrix:
-        """Stacked indicator-prefixed inputs of every support view, as a
-        cached CSR matrix.
+                         use_structural: Optional[bool] = None):
+        """The Eq. 13 encoder input of every support view, cached.
 
-        Row block ``i`` is the Eq. 13 encoder input ``[I_l ‖ A]`` of
-        support example ``i`` — the layout consumed by the batched
-        encoder (one block per support view), built by
-        :func:`~repro.gnn.encoder.support_stack` from
-        :meth:`sparse_features`, so no dense ``(k·n, 1 + d)`` stack is
-        allocated.  The stack is step-invariant during meta-training, so
-        it is cached like :meth:`features`; the cache keys on the
-        feature configuration and the identity of the support examples,
-        so replacing the support set invalidates it.
+        A :class:`~repro.gnn.encoder.SupportInput`: row block ``i``
+        stands for ``[I_l ‖ A]`` of support example ``i`` — the layout
+        consumed by the batched encoder (one block per support view) —
+        held as :meth:`encoder_features` once plus the views' indicator
+        mask, so no ``(k·n, 1 + d)`` stack is allocated.  The input is
+        step-invariant during meta-training, so it is cached like
+        :meth:`features`; the cache keys on the feature configuration
+        and the identity of the support examples, so replacing the
+        support set invalidates it.
         """
-        from ..gnn.encoder import support_indicators, support_stack
+        from ..gnn.encoder import SupportInput, support_indicators
 
-        features = self.sparse_features(use_attributes, use_structural)
+        features = self.encoder_features(use_attributes, use_structural)
         key = (self._feature_config, self._feature_version,
                tuple(id(e) for e in self.support))
         if self._support_features is None or self._support_features_key != key:
-            self._support_features = support_stack(
-                features, support_indicators(self.support, self.num_nodes))
+            self._support_features = SupportInput(
+                [(features, support_indicators(self.support, self.num_nodes))])
             self._support_features_key = key
         return self._support_features
 
@@ -217,7 +217,7 @@ class Task:
     def invalidate_feature_caches(self) -> None:
         """Drop every cached feature view after the task graph mutated.
 
-        :meth:`features`, :meth:`sparse_features` and
+        :meth:`features`, :meth:`encoder_features` and
         :meth:`support_features` cache matrices
         computed from the graph's attributes and structure; after a
         :class:`~repro.graph.delta.GraphDelta` patches the graph they
@@ -234,7 +234,7 @@ class Task:
         self._features = None
         self._feature_config = None
         self._feature_version = -1
-        self._sparse_features = None
+        self._encoder_features = None
         self._support_features = None
         self._support_features_key = None
 

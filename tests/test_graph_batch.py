@@ -202,17 +202,21 @@ class TestBatchedEncoderEquivalence:
     def test_support_features_match_per_view(self, ragged_tasks):
         task = ragged_tasks[1]
         features = task.features()
-        stacked = task.support_features()
+        support = task.support_features()
         per_view = np.concatenate(
             [make_query_features(features, e.query, e.positives)
              for e in task.support])
-        assert stacked.format == "csr"
-        np.testing.assert_array_equal(stacked.toarray(), per_view)
-        # Sparse storage: k copies of the attribute non-zeros plus one
-        # entry per set indicator, never the dense k·n·(1 + d) tile.
-        indicator_entries = int(np.count_nonzero(per_view[:, 0]))
-        assert stacked.nnz == (len(task.support) * np.count_nonzero(features)
-                               + indicator_entries)
+        assert support.shape == per_view.shape
+        # Projecting through the identity reads the stack back exactly.
+        identity = Tensor(np.eye(per_view.shape[1], dtype=per_view.dtype))
+        np.testing.assert_array_equal(support.project(identity).data,
+                                      per_view)
+        # Storage: the task's features once whatever the shot count, plus
+        # the views' indicator mask — never the dense k·n·(1 + d) tile.
+        [(stored, indicators)] = support.blocks
+        assert stored is task.encoder_features()
+        assert indicators.shape == (len(task.support), task.num_nodes)
+        assert indicators.sum() == np.count_nonzero(per_view[:, 0])
 
 
 class TestAggregatorStackedViews:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.api import CommunitySearchEngine
 from repro.core import CGNP, CGNPConfig
-from repro.gnn import encoder as encoder_module
 from repro.graph import Graph, ShardedGraph
 from repro.nn import no_grad
 from repro.nn.backend import fused_inference, index_precision, precision
@@ -17,10 +16,12 @@ from repro.utils import make_rng
 N, D = 60, 12
 
 
-def _graph_pair(tmp_dir=None, num_shards=3, seed=0):
+def _graph_pair(tmp_dir=None, num_shards=3, seed=0, sparse=False):
     rng = make_rng(seed)
     edges = rng.integers(0, N, size=(N * 3, 2))
     attrs = rng.standard_normal((N, D))
+    if sparse:
+        attrs[rng.random((N, D)) >= 0.05] = 0.0
     dense = Graph(N, edges, attributes=attrs)
     sharded = ShardedGraph(N, edges, attributes=attrs,
                            num_shards=num_shards,
@@ -113,15 +114,23 @@ class TestContextParity:
                                    use_structural=True)
 
     @pytest.mark.parametrize("conv", ["gcn", "gat", "sage"])
-    def test_bitwise_with_small_input_blocks(self, tmp_path, monkeypatch,
-                                             conv):
-        """Layer 0 projects the CSR input in row blocks that cut across
-        shards; the bits must not depend on where the cuts fall."""
-        monkeypatch.setattr(encoder_module, "INPUT_BLOCK_ENTRIES",
-                            7 * (D + 1))
+    def test_bitwise_with_sparse_features(self, tmp_path, conv):
+        """Mostly-zero attributes take the CSR layer-0 product on both
+        paths: the CSR copy of the memmap must give the dense path's
+        bits."""
         with precision("float64"), fused_inference(False):
-            dense, sharded = _graph_pair(tmp_path, num_shards=3)
+            dense, sharded = _graph_pair(tmp_path, num_shards=3, sparse=True)
             _assert_context_parity(_model(conv), dense, sharded, shots=3)
+
+    def test_storage_wider_than_model(self, tmp_path):
+        """Features stored at float64 feed a float32 model through a
+        float32 arena copy, with the dense path's bits."""
+        with precision("float64"):
+            dense, sharded = _graph_pair(tmp_path, num_shards=3)
+        with precision("float32"), fused_inference(False):
+            _assert_context_parity(_model("sage"), dense, sharded)
+        assert sharded.attributes.dtype == np.float64
+        assert any(key.startswith("enc.x.") for key in sharded._buffers)
 
     def test_requires_eval_mode(self, tmp_path):
         with precision("float32"):
@@ -129,8 +138,7 @@ class TestContextParity:
             model = _model("gcn")
             model.train()
             with pytest.raises(RuntimeError):
-                model.encoder.encode_sharded(
-                    sharded, lambda buffer: None, replicas=1)
+                model.encoder.encode_sharded(sharded, None)
 
     def test_stale_shard_op_never_survives_mutation(self, tmp_path):
         """Regression: mutate features through set_attributes, re-encode,

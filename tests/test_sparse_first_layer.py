@@ -1,9 +1,11 @@
-"""Tolerance contract of the sparse Eq. 13 encoder input.
+"""Tolerance contract of the factored Eq. 13 encoder input.
 
-CGNP's layer-0 input ``[I_l ‖ A]`` is a CSR matrix, projected through its
-weights by a sparse product that sums each row over its non-zeros only.
-That reorders the sums of the dense product, so the batched CSR path is
-held to a tolerance against a dense per-view reference
+CGNP's layer-0 input ``[I_l ‖ A]`` of every support view is a
+:class:`~repro.gnn.encoder.SupportInput`: each graph's features are
+projected once — by a sparse product over the non-zeros when stored as
+CSR, by BLAS when dense — and each view adds the indicator weight row.
+That reorders the sums of the per-view dense product, so the batched
+path is held to a tolerance against a dense per-view reference
 (:meth:`CGNP.encode_view` + ⊕, one dense forward per support example):
 
 * contexts, logits and every parameter gradient agree within
@@ -11,18 +13,21 @@ held to a tolerance against a dense per-view reference
   (1e-10 at float64);
 * the predicted memberships at the 0.5 threshold are identical.
 
-The sweep covers the three convolutions, both element widths, training
-and inference with the fused kernels on and off, one and three shots, a
-ragged multi-task batch and a one-layer encoder (whose fused fold pools
-the CSR input itself).
+The sweep covers both feature storages, the three convolutions, both
+element widths, training and inference with the fused kernels on and
+off, one and three shots, a ragged multi-task batch and a one-layer
+encoder (whose fused fold pools the projected support input).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import CGNP, CGNPConfig
+from repro.gnn import encoder as encoder_module
+from repro.gnn import layer0_features
 from repro.graph import attributed_community_graph
 from repro.nn.backend import fused_inference, precision
 from repro.nn.tensor import no_grad
@@ -58,6 +63,32 @@ def tasks_by_batch():
                 task.features()
             out[name] = tasks
         return out
+
+
+def test_layer0_storage_follows_density():
+    rng = make_rng(0)
+    dense = rng.normal(size=(40, 30))
+    sparse = dense * (rng.random((40, 30)) < 0.05)
+    assert layer0_features(dense, dense.dtype) is dense
+    stored = layer0_features(sparse, sparse.dtype)
+    assert stored.format == "csr"
+    assert stored.nnz == np.count_nonzero(sparse)
+    np.testing.assert_array_equal(stored.toarray(), sparse)
+    assert layer0_features(sparse, "float32").dtype == np.float32
+
+
+@pytest.fixture(params=["csr", "dense"])
+def layout(request, monkeypatch, tasks_by_batch):
+    """Pin the layer-0 feature storage through the density bar: every
+    matrix is CSR at 1.0 and dense at 0.0."""
+    monkeypatch.setattr(encoder_module, "SPARSE_DENSITY",
+                        1.0 if request.param == "csr" else 0.0)
+    for tasks in tasks_by_batch.values():
+        for task in tasks:
+            task.invalidate_feature_caches()
+            features, _ = task.support_features().blocks[0]
+            assert sp.issparse(features) == (request.param == "csr")
+    return request.param
 
 
 def _model(tasks, conv, num_layers, dtype):
@@ -111,8 +142,8 @@ def _assert_same_memberships(got_logits, want_logits):
 @pytest.mark.parametrize("conv", ["gcn", "sage", "gat"])
 class TestSparseFirstLayer:
     def test_training_contexts_logits_and_gradients(self, tasks_by_batch,
-                                                    conv, dtype, batch,
-                                                    num_layers):
+                                                    layout, conv, dtype,
+                                                    batch, num_layers):
         tasks = tasks_by_batch[batch]
         model = _model(tasks, conv, num_layers, dtype)
         model.train()
@@ -144,9 +175,9 @@ class TestSparseFirstLayer:
             _assert_close(grads[name], want, rtol, f"grad {name}")
 
     @pytest.mark.parametrize("fused", [True, False])
-    def test_inference_contexts_and_memberships(self, tasks_by_batch, conv,
-                                                dtype, batch, num_layers,
-                                                fused):
+    def test_inference_contexts_and_memberships(self, tasks_by_batch,
+                                                layout, conv, dtype, batch,
+                                                num_layers, fused):
         tasks = tasks_by_batch[batch]
         model = _model(tasks, conv, num_layers, dtype)
         model.eval()
