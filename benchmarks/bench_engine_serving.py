@@ -6,8 +6,8 @@ code path answered the same batch with a Python loop of single-query
 decoder passes.  This bench measures both on the same model/task and
 records the speedup (and that the outputs are identical).
 
-The MLP/GNN decoders benefit the most: their context transform runs once
-per batch instead of once per query.
+The MLP/GNN decoders benefit the most: the engine runs their context
+transform once per encoded context, the loop once per query.
 
 Run:  pytest benchmarks/bench_engine_serving.py --benchmark-only -s
 """

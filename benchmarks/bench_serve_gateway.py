@@ -9,8 +9,8 @@ deployed CGNP bundle, answered two ways on the same schedule:
   one ``engine.predict_proba(nodes)`` call per request;
 * **gateway** — :class:`repro.serve.ServeGateway`: concurrent submits
   into the bounded queue, the ticker coalescing whatever is waiting into
-  one decoder pass per tick (shared context transform, per-request
-  answers bitwise-identical to the baseline's).
+  one decoder pass per tick (shared lock, context fetch and per-call
+  overhead; per-request answers bitwise-identical to the baseline's).
 
 Rates are *calibrated*: the baseline's per-request service time ``s_b``
 is measured first and the offered rates are fixed multiples of the
@@ -18,7 +18,7 @@ baseline's capacity ``1/s_b`` (0.5 = comfortable, 0.9 = near
 saturation, 1.8 = overload), so the comparison means the same thing on a
 laptop and a loaded CI runner.  Expected shape: at low load the ticker's
 coalescing window *adds* latency; near and past saturation the shared
-transform raises capacity, so queueing delay — the thing that actually
+per-tick work raises capacity, so queueing delay — the thing that actually
 hurts p99 — collapses, and overload throughput exceeds the baseline's.
 
 Writes a ``BENCH_serve.json`` perf record next to this file.
@@ -55,10 +55,10 @@ from repro.utils import make_rng
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "BENCH_serve.json")
 
-# The MLP decoder is the honest headline: its context transform is the
-# query-independent cost the gateway amortises (the IP decoder's
-# transform is the identity, so coalescing only amortises per-call
-# overhead there).  The serving task is larger than the training tasks —
+# The MLP decoder is the paper's serving configuration; its context
+# transform is paid once per encode by the engine's context cache, so
+# coalescing amortises per-call overhead (lock, fetch, Python) for every
+# decoder alike.  The serving task is larger than the training tasks —
 # deploy-once/query-many serves bigger graphs than it meta-trains on.
 SMOKE = dict(dataset="cora", num_tasks=6, subgraph_nodes=80, num_support=3,
              num_query=6, hidden_dim=96, num_layers=2, conv="gcn",

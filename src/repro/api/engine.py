@@ -64,22 +64,29 @@ def _json_native(value: Any) -> Any:
 
 
 class _StoredContext:
-    """One cached context matrix at the engine's storage width.
+    """One cached decoder-ready context at the engine's storage width.
+
+    The payload is ``T = decoder.transform(H, graph)``, the
+    query-independent half of the decoder (the identity for the
+    inner-product decoder, the MLP/GNN pass otherwise), computed once
+    when the context is stored — a read only gathers rows of ``T`` and
+    runs the inner products.  Compacted widths therefore quantise ``T``,
+    not the encoder output ``H``.
 
     ``"full"`` keeps the compute-dtype array as-is.  ``"float32"`` /
     ``"float16"`` cast the payload down (2x/4x smaller than float64
     compute).  ``"int8"`` quantises symmetrically per row — each row is
     scaled by ``max|row| / 127`` (float32 scales, zero rows guard to
     scale 1.0), an 8x compaction at float64 compute.  :meth:`tensor`
-    dequantises back to the compute dtype; every decode (including the
-    first, right after encoding) goes through it, so cache hits and the
-    encoding call itself see the exact same numbers.
+    dequantises ``T`` back to the compute dtype; every decode (including
+    the first, right after encoding) goes through it, so cache hits and
+    the encoding call itself see the exact same numbers.
     """
 
     __slots__ = ("storage", "payload", "scale", "compute_dtype")
 
-    def __init__(self, context: Tensor, storage: str):
-        data = context.data
+    def __init__(self, transformed: Tensor, storage: str):
+        data = transformed.data
         self.storage = storage
         self.compute_dtype = data.dtype
         self.scale: Optional[np.ndarray] = None
@@ -103,7 +110,7 @@ class _StoredContext:
         return total
 
     def tensor(self) -> Tensor:
-        """The context at compute precision (dequantised when needed)."""
+        """``T`` at compute precision (dequantised when needed)."""
         if self.storage == "full":
             return Tensor(self.payload)
         if self.storage == "int8":
@@ -389,10 +396,10 @@ class CommunitySearchEngine:
                 start = time.perf_counter()
                 with no_grad():
                     contexts = self.model.context_batch(missing)
-                self._stats.context_seconds += time.perf_counter() - start
-                self._stats.contexts_encoded += len(missing)
                 for task, context in zip(missing, contexts):
                     self._store_context(task, context)
+                self._stats.context_seconds += time.perf_counter() - start
+                self._stats.contexts_encoded += len(missing)
                 self._evict()
             self._active = tasks[-1]
         return self
@@ -461,7 +468,8 @@ class CommunitySearchEngine:
         return task
 
     def _context_for(self, task: Task) -> Tensor:
-        """The task's context matrix, from cache or freshly encoded.
+        """The task's decoder-ready context ``T``, from cache or freshly
+        encoded and transformed.
 
         Always decodes through the stored entry — a freshly-encoded
         context is stored first and read back, so under compacted
@@ -477,15 +485,23 @@ class CommunitySearchEngine:
         start = time.perf_counter()
         with no_grad():
             context = self.model.context(task)
+        stored = self._store_context(task, context)
         self._stats.context_seconds += time.perf_counter() - start
         self._stats.contexts_encoded += 1
-        stored = self._store_context(task, context)
         self._evict()
         return stored.tensor()
 
     def _store_context(self, task: Task, context: Tensor) -> _StoredContext:
-        """Insert a context at the cache width; account its bytes."""
-        stored = _StoredContext(context, self.context_storage)
+        """Transform a freshly encoded context ``H`` into ``T`` and insert
+        it at the cache width; account its bytes.
+
+        One task at a time, so ``T`` is bitwise the transform a
+        standalone :meth:`CGNP.query_logits_batch
+        <repro.core.model.CGNP.query_logits_batch>` would compute.
+        """
+        with no_grad():
+            transformed = self.model.decoder.transform(context, task.graph)
+        stored = _StoredContext(transformed, self.context_storage)
         previous = self._contexts.pop(task, None)
         if previous is not None:
             self._stats.context_cache_bytes -= previous.nbytes
@@ -523,21 +539,7 @@ class CommunitySearchEngine:
         if isinstance(nodes, (int, np.integer)):
             nodes = [int(nodes)]
         indices = validate_queries(task.graph, nodes)
-        return self._predict_validated(task, indices)
-
-    def _predict_validated(self, task: Task, indices: np.ndarray) -> np.ndarray:
-        """The decode path proper: ``indices`` are already bounds-checked."""
-        with self._lock:
-            context = self._context_for(task)
-            start = time.perf_counter()
-            with no_grad():
-                logits = self.model.query_logits_batch(
-                    context, indices, task.graph,
-                    accum_dtype=self._accum_dtype)
-                probabilities = logits.sigmoid().data
-            self._record_decode(time.perf_counter() - start,
-                                queries=int(indices.size), batches=1)
-        return probabilities
+        return self._decode(task, [indices])[0]
 
     def predict_proba_many(self, node_batches: Sequence[
                                Union[Sequence[int], np.ndarray]],
@@ -546,12 +548,11 @@ class CommunitySearchEngine:
 
         The micro-batching primitive behind
         :class:`~repro.serve.ServeGateway`: all batches share one cached
-        context fetch and one decoder context transform (the dominant
-        decode cost for the MLP/GNN decoders), while each batch keeps
-        the exact BLAS shapes of a standalone call — so element ``i`` of
-        the result is **bitwise-identical** to
-        ``predict_proba(node_batches[i], task)``, and the whole call
-        counts as a single ``decode_calls`` increment.
+        context fetch (the decoder transform was paid once, when the
+        context was encoded), while each batch keeps the exact BLAS
+        shapes of a standalone call — so element ``i`` of the result is
+        **bitwise-identical** to ``predict_proba(node_batches[i], task)``,
+        and the whole call counts as a single ``decode_calls`` increment.
 
         Returns one ``(len(batch), num_nodes)`` probability matrix per
         input batch, in order.
@@ -562,18 +563,24 @@ class CommunitySearchEngine:
                          for batch in node_batches]
             if not validated:
                 return []
-            context = self._context_for(task)
+            return self._decode(task, validated)
+
+    def _decode(self, task: Task,
+                batches: List[np.ndarray]) -> List[np.ndarray]:
+        """The one decode path: bounds-checked query batches against the
+        task's cached ``T``, one probability matrix per batch."""
+        with self._lock:
+            transformed = self._context_for(task)
             start = time.perf_counter()
             with no_grad():
                 logits = self.model.query_logits_many(
-                    context, validated, task.graph,
-                    accum_dtype=self._accum_dtype)
+                    transformed, batches, accum_dtype=self._accum_dtype)
                 results = [batch_logits.sigmoid().data
                            for batch_logits in logits]
             self._record_decode(
                 time.perf_counter() - start,
-                queries=int(sum(batch.size for batch in validated)),
-                batches=len(validated))
+                queries=int(sum(batch.size for batch in batches)),
+                batches=len(batches))
         return results
 
     def _record_decode(self, elapsed: float, queries: int,
@@ -602,7 +609,7 @@ class CommunitySearchEngine:
         batch = [int(nodes)] if single else nodes
         task = self._require_task(task)
         indices = validate_queries(task.graph, batch)
-        probabilities = self._predict_validated(task, indices)
+        probabilities = self._decode(task, [indices])[0]
         cutoff = self.threshold if threshold is None else float(threshold)
         result: Dict[int, np.ndarray] = {}
         for row, query in zip(probabilities, indices.tolist()):
@@ -748,7 +755,7 @@ class CommunitySearchEngine:
             return []
         queries = np.array([example.query for example in task.queries],
                            dtype=np.int64)
-        probabilities = self._predict_validated(task, queries)
+        probabilities = self._decode(task, [queries])[0]
         cutoff = self.threshold if threshold is None else float(threshold)
         return [threshold_prediction(row, example.query, example.membership,
                                      threshold=cutoff)

@@ -13,8 +13,10 @@ Three decoders of increasing capacity (section VI):
 All three share one skeleton: a context *transform* followed by the inner
 product against the query row.  :class:`Decoder` factors that out and adds
 :meth:`Decoder.forward_batch`, which answers a whole batch of queries with
-a single transform and one matmul — the serving path of
-:class:`~repro.api.engine.CommunitySearchEngine`.
+a single transform and one matmul.  Because the transform does not depend
+on the query, :class:`~repro.api.engine.CommunitySearchEngine` runs it
+once per encoded context and serves reads through
+:meth:`Decoder.inner_products` alone.
 
 All decoders return *logits*; callers apply the sigmoid.
 """
@@ -78,18 +80,19 @@ class Decoder(Module):
                        accum_dtype: Optional[np.dtype] = None) -> Tensor:
         """Query rows of an *already transformed* context: ``(B, n)``.
 
-        The second half of :meth:`forward_batch`, split out so callers
-        serving several independent query batches against one context
-        (the micro-batching gateway) can pay the transform once per tick
-        while keeping each batch's BLAS shapes exactly those of a
-        standalone :meth:`forward_batch` call — which is what makes the
+        The second half of :meth:`forward_batch`, split out so the
+        serving engine can cache ``transformed`` once per encoded context
+        and answer every later query batch with the gather + GEMM alone.
+        Each batch keeps the BLAS shapes of a standalone
+        :meth:`forward_batch` call, which is what makes cached and
         coalesced answers bitwise-identical to direct ones.
 
         ``accum_dtype`` (inference only, never taped) runs the inner
         products at a wider accumulator and casts the logits back to the
-        context's dtype — the engine sets float64 when contexts are
-        stored compacted (float16/int8), so the decoder's long dot
-        products never stack rounding on top of the storage quantisation.
+        context's dtype — the engine sets float64 when the transformed
+        contexts are stored compacted (float32/float16/int8), so the
+        decoder's long dot products never stack rounding on top of the
+        storage quantisation of ``transformed``.
         """
         indices = np.asarray(queries, dtype=resolve_index_dtype())
         if accum_dtype is not None:

@@ -492,22 +492,19 @@ class CGNP(Module):
         return self.decoder.forward_batch(context, indices, graph,
                                           accum_dtype=accum_dtype)
 
-    def query_logits_many(self, context: Tensor,
+    def query_logits_many(self, transformed: Tensor,
                           query_batches: Sequence[Sequence[int]],
-                          graph: Graph,
                           accum_dtype: Optional[np.dtype] = None) -> List[Tensor]:
-        """ρ_θ on several query batches sharing ONE context transform.
+        """ρ_θ on several query batches against an already transformed
+        context ``T = decoder.transform(H, graph)``.
 
-        The serving gateway's coalescing primitive: the decoder's
-        query-independent context transform (the dominant decode cost for
-        the MLP/GNN decoders) runs once per call, then each batch is
-        answered by its own gather + inner product with the same BLAS
-        shapes as a standalone :meth:`query_logits_batch` call — so
-        ``query_logits_many(context, [b0, b1], graph)[i]`` is
-        *bitwise-identical* to ``query_logits_batch(context, bi, graph)``
-        while paying the transform once instead of once per batch.
+        The serving engine's decode primitive: it caches ``T`` once per
+        encoded context, so a read pays only each batch's gather + inner
+        product, with the same BLAS shapes as a standalone
+        :meth:`query_logits_batch` call — ``query_logits_many(T, [b0,
+        b1])[i]`` is *bitwise-identical* to ``query_logits_batch(H, bi,
+        graph)``.
         """
-        transformed = self.decoder.transform(context, graph)
         return [self.decoder.inner_products(transformed, batch,
                                             accum_dtype=accum_dtype)
                 for batch in query_batches]

@@ -92,6 +92,18 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy *basic* indexing (ints, slices,
+    ``Ellipsis``, ``None`` or a tuple of these), which never selects an
+    element twice.  Booleans and arrays are advanced indexing."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is None or part is Ellipsis or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer))
+            and not isinstance(part, (bool, np.bool_)))
+        for part in parts)
+
+
 class Tensor:
     """A differentiable multi-dimensional array.
 
@@ -207,6 +219,11 @@ class Tensor:
     ) -> "Tensor":
         """Create a non-leaf tensor, recording the tape if grad is enabled."""
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        if isinstance(data, np.generic):
+            # A full reduction or 0-d arithmetic yields a numpy scalar,
+            # which the constructor would recast to the policy dtype; a
+            # 0-d array keeps the width the op computed at.
+            data = np.asarray(data)
         out = Tensor(data)
         out.requires_grad = requires
         if requires:
@@ -570,10 +587,16 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         """Differentiable indexing (slices, integer arrays, masks)."""
         out_data = self.data[index]
+        basic = _is_basic_index(index)
 
         def backward(grad: np.ndarray) -> None:
             full_grad = np.zeros_like(self.data)
-            np.add.at(full_grad, index, grad)
+            if basic:
+                # A basic index selects each element at most once, so a
+                # plain store equals the (much slower) unbuffered scatter.
+                full_grad[index] = grad
+            else:
+                np.add.at(full_grad, index, grad)
             Tensor._accumulate(self, full_grad)
 
         return Tensor._make(out_data, (self,), backward)

@@ -3,12 +3,12 @@
 One :class:`MicroBatcher` call is the synchronous heart of a gateway
 tick: it takes the drained requests, drops the ones whose futures were
 cancelled while they waited, groups the rest **per task session** (the
-context matrix and the decoder's context transform are per-task, so the
-task is the natural coalescing boundary), and answers each group with a
-single :meth:`CommunitySearchEngine.predict_proba_many
+cached, decoder-transformed context is per-task, so the task is the
+natural coalescing boundary), and answers each group with a single
+:meth:`CommunitySearchEngine.predict_proba_many
 <repro.api.engine.CommunitySearchEngine.predict_proba_many>` call — one
-shared context fetch + one decoder transform per group, per-request
-answers bitwise-identical to direct ``predict_proba`` calls.
+shared context fetch per group, per-request answers bitwise-identical
+to direct ``predict_proba`` calls.
 
 A request whose task was detached between submit and flush is *not* an
 error: the engine transparently re-encodes the context (an LRU miss),

@@ -2,10 +2,9 @@
 
 A production deployment of the paper's deploy-once/query-many model sees
 thousands of concurrent *single-node* requests, not pre-made batches —
-yet the engine underneath answers a 64-query batch for roughly the cost
-of one query (the decoder's context transform dominates and is
-query-independent).  :class:`ServeGateway` converts the former into the
-latter:
+yet the engine underneath answers a 64-query batch with one lock
+acquisition, one context fetch and one GEMM.  :class:`ServeGateway`
+converts the former into the latter:
 
 1. concurrent ``await gateway.submit(nodes, task)`` calls validate the
    query ids up front and land in a bounded :class:`RequestQueue`

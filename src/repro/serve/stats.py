@@ -282,7 +282,8 @@ class ServeStats(EngineStats):
                 "Task contexts encoded (cache misses that did work).",
                 self.contexts_encoded)
         counter("repro_engine_context_seconds_total",
-                "Wall-clock seconds encoding task contexts.",
+                "Wall-clock seconds encoding task contexts (encoder "
+                "plus the decoder's context transform).",
                 self.context_seconds)
         counter("repro_engine_context_cache_hits_total",
                 "Context LRU hits.", self.context_cache_hits)

@@ -257,6 +257,8 @@ class Task:
                     use_structural=self.use_structural)
         view._features = self._features
         view._feature_config = self._feature_config
+        view._feature_version = self._feature_version
+        view._encoder_features = self._encoder_features
         return view
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics

@@ -19,6 +19,7 @@ from repro.api import (
 )
 from repro.api.bundle import BUNDLE_FORMAT, BUNDLE_HEADER_KEY, BUNDLE_VERSION
 from repro.core import CGNP, CGNPConfig, meta_test_task, predict_memberships
+from repro.core.decoders import DECODERS
 from repro.core.infer import validate_queries
 from repro.eval import ALL_METHOD_NAMES, CORE_METHOD_NAMES
 from repro.nn.serialize import save_state
@@ -337,6 +338,63 @@ class TestPredictProbaMany:
         assert engine.stats().queries_served == 0
 
 
+def _decoder_model(tiny_tasks, decoder):
+    train, _ = tiny_tasks
+    in_dim = train[0].features().shape[1]
+    return CGNP(in_dim, CGNPConfig(hidden_dim=8, num_layers=2, conv="gcn",
+                                   decoder=decoder), make_rng(11))
+
+
+class TestEngineTransformOnce:
+    @pytest.mark.parametrize("decoder", ["mlp", "gnn"])
+    def test_transform_runs_once_per_encoded_context(self, decoder,
+                                                     tiny_tasks,
+                                                     monkeypatch):
+        """The decoder transform is paid when a context is encoded, never
+        on a cache-hit read."""
+        _, (task, other) = tiny_tasks
+        model = _decoder_model(tiny_tasks, decoder)
+        transform = model.decoder.transform
+        calls = []
+
+        def spy(context, graph):
+            calls.append(graph)
+            return transform(context, graph)
+
+        monkeypatch.setattr(model.decoder, "transform", spy)
+        engine = CommunitySearchEngine(model).attach(task)
+        assert len(calls) == 1
+        for node in range(20):
+            engine.predict_proba([node % task.graph.num_nodes])
+        engine.predict_proba_many([[0, 1], [2]])
+        assert len(calls) == 1
+        engine.attach_many([task, other])
+        engine.predict_proba([0], other)
+        assert calls == [task.graph, other.graph]
+        assert engine.stats().contexts_encoded == 2
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_full_storage_answers_equal_a_direct_decode(self, decoder,
+                                                        tiny_tasks):
+        """Caching ``T`` changes no bit of a full-storage answer."""
+        from repro.nn import no_grad
+
+        _, (task, other) = tiny_tasks
+        model = _decoder_model(tiny_tasks, decoder)
+        engine = CommunitySearchEngine(model).attach(task)
+        engine.attach_many([other])
+        nodes = [0, 3, 5]
+        for served in (task, other):
+            with no_grad():
+                expected = model.query_logits_batch(
+                    model.context(served), nodes,
+                    served.graph).sigmoid().data
+            got = engine.predict_proba(nodes, served)
+            assert got.tobytes() == expected.tobytes()
+            assert engine.predict_proba_many([nodes], served)[0].tobytes() \
+                == expected.tobytes()
+
+
 class TestEngineStatsTimers:
     def test_query_timestamps_and_wall_seconds(self, model, test_task):
         engine = CommunitySearchEngine(model).attach(test_task)
@@ -473,22 +531,25 @@ def _chain_task(n: int = 48, dim: int = 6, seed: int = 11):
                 use_attributes=True, use_structural=False)
 
 
-def _chain_model(task, seed: int = 3):
+def _chain_model(task, seed: int = 3, decoder: str = "ip"):
     in_dim = task.features().shape[1]
-    return CGNP(in_dim, CGNPConfig(hidden_dim=8, num_layers=2,
-                                   conv="gcn", decoder="ip"), make_rng(seed))
+    return CGNP(in_dim, CGNPConfig(hidden_dim=8, num_layers=2, conv="gcn",
+                                   decoder=decoder), make_rng(seed))
 
 
 class TestEngineStreamingDeltas:
-    def test_far_delta_keeps_context_and_answers(self):
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_far_delta_keeps_context_and_answers(self, decoder):
         """A delta outside the support's k-hop frontier repairs the
         operators but keeps the cached context: answers stay bitwise the
         pre-delta answers (the documented coherence mode) and no
-        re-encode happens."""
+        re-encode happens.  The GNN decoder's message passing reads the
+        graph too; its transformed context is cached with the encode, so
+        it answers wholly pre-delta as well."""
         from repro.graph import GraphDelta
 
         task = _chain_task()
-        engine = CommunitySearchEngine(_chain_model(task))
+        engine = CommunitySearchEngine(_chain_model(task, decoder=decoder))
         engine.attach(task)
         nodes = [0, 1, 2]
         before = engine.predict_proba(nodes)
@@ -598,12 +659,13 @@ class TestEngineStreamingDeltas:
         np.testing.assert_array_equal(answer,
                                       reference.predict_proba([0, 1]))
 
-    def test_readers_never_see_torn_answers(self):
-        """The PR 6 thread-safety contract extended to writes: four
-        reader threads hammer predict_proba while a writer streams
-        deltas.  With the ip decoder every observed answer must be
-        bitwise one of the D+1 snapshot answers — pre- or post- some
-        delta, never a mixture."""
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_readers_never_see_torn_answers(self, decoder):
+        """The thread-safety contract extended to writes: four reader
+        threads hammer predict_proba while a writer streams deltas.
+        With every decoder each observed answer must be bitwise one of
+        the D+1 snapshot answers — pre- or post- some delta, never a
+        mixture."""
         import threading
         import time
 
@@ -611,7 +673,7 @@ class TestEngineStreamingDeltas:
         from repro.tasks import Task
 
         task = _chain_task()
-        model = _chain_model(task)
+        model = _chain_model(task, decoder=decoder)
         n = task.graph.num_nodes
         deltas = [GraphDelta(add_edges=[[2, 6]]),
                   GraphDelta(add_edges=[[40, 44]]),

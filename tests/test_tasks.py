@@ -104,6 +104,19 @@ class TestTask:
         assert one_shot.support[0].query == 0
         assert len(one_shot.queries) == 1  # query set unchanged
 
+    def test_with_shots_shares_feature_caches(self):
+        """A shot-truncated view reuses the parent's node features (and
+        their layer-0 form) instead of rebuilding them."""
+        g = two_cliques_graph(5)
+        support = [_make_example(g, 0, (1, 2), (6, 7)),
+                   _make_example(g, 1, (0, 2), (8, 9))]
+        task = Task(g, support, [_make_example(g, 3, (1, 4), (8, 9))])
+        features = task.features()
+        encoder_features = task.encoder_features()
+        one_shot = task.with_shots(1)
+        assert one_shot.features() is features
+        assert one_shot.encoder_features() is encoder_features
+
     def test_with_shots_validates(self):
         task = self._task()
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Tensor, as_tensor, no_grad, is_grad_enabled, zeros, ones, full
 
@@ -192,6 +194,20 @@ class TestReductionGradients:
         a = np.arange(6, dtype=np.float64).reshape(2, 3)
         gradcheck(lambda x: x.min(axis=1), a)
 
+    @pytest.mark.parametrize("reduce", ["sum", "max", "mean"])
+    def test_full_reduction_keeps_float32(self, reduce):
+        """A full reduction of float32 data stays float32 (forward and
+        gradient) even under the float64 policy: numpy hands back a 0-d
+        scalar, which must not adopt the ambient width."""
+        from repro.nn.backend import precision
+
+        with precision("float64"):
+            x = Tensor(self.a.astype(np.float32), requires_grad=True)
+            out = getattr(x, reduce)()
+            assert out.data.dtype == np.float32
+            out.backward()
+            assert x.grad.dtype == np.float32
+
 
 class TestElementwiseGradients:
     def setup_method(self):
@@ -258,6 +274,48 @@ class TestShapeGradients:
 
     def test_getitem_slice(self):
         gradcheck(lambda x: x[1:, :2], self.rng.normal(size=(4, 4)))
+
+    def test_getitem_fancy_repeats_accumulate(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        x[np.array([0, 2, 0])].sum().backward()
+        np.testing.assert_array_equal(x.grad, [[2, 2], [0, 0], [1, 1]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_getitem_basic_backward_matches_add_at(self, data):
+        """The basic-index backward (a plain store) is bitwise the
+        np.add.at scatter it replaces."""
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1,
+                                         max_size=3)))
+
+        def part(size):
+            return st.one_of(
+                st.integers(-size, size - 1),
+                st.builds(slice, st.none() | st.integers(-size, size),
+                          st.none() | st.integers(-size, size),
+                          st.none() | st.integers(1, 2).map(
+                              lambda step: step * data.draw(
+                                  st.sampled_from([1, -1])))))
+
+        parts = [data.draw(part(size)) for size in shape]
+        start = data.draw(st.integers(0, len(parts)))
+        stop = data.draw(st.integers(start, len(parts)))
+        if data.draw(st.booleans()):    # an Ellipsis spans parts[start:stop]
+            parts[start:stop] = [Ellipsis]
+        else:                           # trailing axes are left implicit
+            parts = parts[:max(stop, 1)]
+        if data.draw(st.booleans()):
+            parts.insert(data.draw(st.integers(0, len(parts))), None)
+        index = tuple(parts) if len(parts) > 1 or data.draw(
+            st.booleans()) else parts[0]
+        values = np.random.default_rng(0).normal(size=shape)
+        x = Tensor(values, requires_grad=True)
+        out = x[index]
+        grad = np.random.default_rng(1).normal(size=out.data.shape)
+        out.backward(grad)
+        reference = np.zeros_like(values)
+        np.add.at(reference, index, grad)
+        assert x.grad.tobytes() == reference.tobytes()
 
     def test_take_rows_with_repeats(self):
         index = np.array([0, 2, 2, 1])
