@@ -304,8 +304,6 @@ def _add_serving_fixture_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes-per-request", type=int, default=1,
                         help="query nodes per simulated request (1 = the "
                              "single-query traffic the gateway exists for)")
-    parser.add_argument("--tick-ms", type=float, default=2.0,
-                        help="gateway coalescing window in milliseconds")
     parser.add_argument("--capacity", type=int, default=1024,
                         help="bounded request-queue capacity")
     parser.add_argument("--max-tick-requests", type=int, default=None,
@@ -609,8 +607,7 @@ def _serving_fixture(args: argparse.Namespace):
 
 
 def _gateway_config(args: argparse.Namespace) -> GatewayConfig:
-    return GatewayConfig(tick_seconds=args.tick_ms / 1e3,
-                         capacity=args.capacity,
+    return GatewayConfig(capacity=args.capacity,
                          max_tick_requests=args.max_tick_requests)
 
 
@@ -680,8 +677,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print(format_generic_table(
             ["Mode", "Rate/s", "Done", "Rej", "QPS", "p50 ms", "p99 ms"],
             rows, title=f"Open-loop serving comparison "
-                        f"({args.dataset}, {args.duration:g}s per run, "
-                        f"tick {args.tick_ms:g} ms)"))
+                        f"({args.dataset}, {args.duration:g}s per run)"))
     return 0
 
 

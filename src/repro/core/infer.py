@@ -47,17 +47,24 @@ def validate_queries(graph: Graph,
 
     Raises a :class:`ValueError` naming the offending ids instead of
     letting an out-of-range index surface as a raw numpy error deep in
-    the decoder.  Non-integral ids (e.g. ``3.7``) are rejected rather
-    than silently truncated to a different node.
+    the decoder.  Non-integral ids (e.g. ``3.7``, numpy bools) are
+    rejected rather than silently truncated to a different node.  A 1-D
+    integer ndarray (e.g. ids the gateway already validated) skips the
+    per-element coercion; the result never aliases ``queries``.
     """
-    try:
-        # Stage at int64: bounds are checked on the full-width values, so
-        # an id beyond the int32 policy range reports "out of range"
-        # below instead of overflowing the narrow cast.
-        indices = np.asarray([operator.index(q) for q in queries],
-                             dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"query nodes must be integers: {exc}") from exc
+    if (isinstance(queries, np.ndarray) and queries.ndim == 1
+            and queries.dtype.kind in "iu"):
+        indices = queries
+    else:
+        try:
+            ids = [operator.index(q) for q in queries]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"query nodes must be integers: {exc}") from exc
+        try:
+            indices = np.asarray(ids, dtype=np.int64)
+        except OverflowError:   # beyond int64: reported "out of range" below
+            indices = np.asarray(ids, dtype=object)
+    # Bounds are checked at the staged width, before any narrowing cast.
     out_of_range = indices[(indices < 0) | (indices >= graph.num_nodes)]
     if out_of_range.size:
         bad = sorted(set(out_of_range.tolist()))
@@ -66,7 +73,8 @@ def validate_queries(graph: Graph,
             f"{graph.num_nodes} nodes (valid ids: 0..{graph.num_nodes - 1})")
     # index_dtype_for keeps int64 for graphs too large for the policy
     # width (the ids were only bounds-checked against num_nodes).
-    return indices.astype(index_dtype_for(graph.num_nodes), copy=False)
+    return indices.astype(index_dtype_for(graph.num_nodes),
+                          copy=indices is queries)
 
 
 def _membership_probabilities(model: CGNP, task: Task,

@@ -452,7 +452,8 @@ def index_dtype_for(max_value: int,
     ('int32', 'int64')
     """
     resolved = resolve_index_dtype(dtype)
-    if max_value > np.iinfo(resolved).max:
+    # Signed index max 2**(bits - 1) - 1, without a per-call np.iinfo.
+    if max_value >= 1 << (8 * resolved.itemsize - 1):
         return np.dtype(np.int64)
     return resolved
 

@@ -6,7 +6,7 @@ behaves like a production service under concurrent single-query
 traffic.  Pure stdlib ``asyncio`` — no new dependencies.
 
 * :mod:`~repro.serve.gateway` — :class:`ServeGateway`: bounded-queue
-  admission, tick-based cross-caller micro-batching, per-request
+  admission, work-conserving cross-caller micro-batching, per-request
   futures; answers are bitwise-identical to direct engine calls;
 * :mod:`~repro.serve.queue` — the bounded FIFO with reject-on-full
   (:class:`QueueFull`) or awaitable-slot backpressure;
@@ -16,7 +16,7 @@ traffic.  Pure stdlib ``asyncio`` — no new dependencies.
   ``EngineStats`` with latency/queue/batch-size histograms) and its
   Prometheus text exposition (:meth:`ServeStats.metrics_text`);
 * :mod:`~repro.serve.loadgen` — the open-loop synthetic load generator
-  driving ``repro loadgen`` and ``benchmarks/bench_serve_gateway.py``.
+  driving ``repro serve`` and ``repro loadgen``.
 """
 
 from .batcher import MicroBatcher, TickResult

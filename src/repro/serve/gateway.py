@@ -9,10 +9,11 @@ converts the former into the latter:
 1. concurrent ``await gateway.submit(nodes, task)`` calls validate the
    query ids up front and land in a bounded :class:`RequestQueue`
    (reject-on-full by default, ``wait=True`` for an awaitable slot);
-2. a ticker coalesces everything waiting every ``tick_seconds`` into
-   per-task groups and answers each group with ONE
+2. a ticker starts a tick as soon as the loop is free: its batch is
+   whatever queued while the previous tick decoded, split into per-task
+   groups, each answered with ONE
    :meth:`~repro.api.engine.CommunitySearchEngine.predict_proba_many`
-   decoder pass;
+   decoder pass — so batches grow with load without a timing window;
 3. each caller's future resolves with its own ``(len(nodes), n)``
    probability matrix — **bitwise-identical** to a direct
    ``engine.predict_proba(nodes, task)`` call (the coalesced pass keeps
@@ -52,25 +53,21 @@ __all__ = ["GatewayConfig", "GatewayClosed", "ServeGateway"]
 
 @dataclass
 class GatewayConfig:
-    """Tuning knobs of one gateway (see ``docs/serving.md`` for guidance).
+    """Settings of one gateway (see ``docs/serving.md``).
 
-    ``tick_seconds`` is the coalescing window: longer ticks build bigger
-    batches (higher throughput ceiling) at the cost of added latency at
-    low load — it is the knob that trades p50 at idle against p99 at
-    saturation.  ``capacity`` bounds queued requests; beyond it,
-    ``submit`` rejects (or parks, with ``wait=True``).
-    ``max_tick_requests`` optionally caps how many requests one tick
-    may coalesce — a fairness guard so one burst cannot monopolise a
-    tick indefinitely; the remainder stays queued for the next tick.
+    There is no coalescing window: a tick starts as soon as the event
+    loop is free and batches whatever queued during the previous tick.
+    ``capacity`` bounds queued requests; beyond it, ``submit`` rejects
+    (or parks, with ``wait=True``).  ``max_tick_requests`` optionally
+    caps how many requests one tick may coalesce — a fairness guard so
+    one burst cannot monopolise a tick indefinitely; the remainder
+    stays queued for the next tick.
     """
 
-    tick_seconds: float = 0.002
     capacity: int = 1024
     max_tick_requests: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.tick_seconds < 0:
-            raise ValueError("tick_seconds must be >= 0")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
         if self.max_tick_requests is not None and self.max_tick_requests < 1:
@@ -201,15 +198,14 @@ class ServeGateway:
     # Ticking
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        """Ticker: sleep-until-work, coalesce one window, flush, repeat."""
+        """Ticker: sleep until work arrives, flush, repeat — no timer."""
         assert self._wake is not None
         while True:
             await self._wake.wait()
             self._wake.clear()
-            if self.config.tick_seconds > 0:
-                # The coalescing window: requests arriving while we
-                # sleep join the tick about to flush.
-                await asyncio.sleep(self.config.tick_seconds)
+            # Let submits already scheduled on the loop join this tick;
+            # those arriving during the inline decode form the next one.
+            await asyncio.sleep(0)
             self.flush()
             if len(self._queue):
                 # max_tick_requests left a remainder — keep ticking
@@ -219,8 +215,9 @@ class ServeGateway:
     def flush(self) -> int:
         """Execute one tick synchronously; returns requests answered.
 
-        The ticker calls this on its cadence; tests (and ``stop()``'s
-        drain) call it directly for deterministic single-tick control.
+        The ticker calls this whenever work is queued; tests (and
+        ``stop()``'s drain) call it directly for deterministic
+        single-tick control.
         """
         try:
             now = asyncio.get_running_loop().time()
@@ -240,10 +237,7 @@ class ServeGateway:
         self._stats.cancelled += result.cancelled
         self._stats.failed += result.failed
         if now is not None and result.answered:
-            try:
-                done = asyncio.get_running_loop().time()
-            except RuntimeError:        # pragma: no cover - defensive
-                done = now
+            done = asyncio.get_running_loop().time()
             for request in result.answered:
                 self._stats.request_latency.observe(
                     done - request.submitted_at)
@@ -291,5 +285,4 @@ class ServeGateway:
         state = "closed" if self._closed else (
             "running" if self._ticker else "manual")
         return (f"ServeGateway({state}, queued={len(self._queue)}, "
-                f"tick={self.config.tick_seconds * 1e3:.1f}ms, "
                 f"capacity={self.config.capacity})")

@@ -32,7 +32,7 @@ from repro.nn.backend import (SUPPORTED_CONTEXT_STORAGE, context_storage,
                               resolve_context_storage,
                               set_default_context_storage)
 from repro.nn.tensor import Tensor
-from repro.serve import GatewayConfig, ServeGateway, ServeStats
+from repro.serve import ServeGateway, ServeStats
 from repro.tasks import TaskSampler
 from repro.utils import make_rng
 
@@ -213,7 +213,7 @@ class TestServingParity:
         direct = engine.predict_proba_many([[0, 3], [7]])
 
         async def scenario():
-            gateway = ServeGateway(engine, GatewayConfig(tick_seconds=1.0))
+            gateway = ServeGateway(engine)      # manual mode: flush()
             first = asyncio.ensure_future(gateway.submit([0, 3]))
             second = asyncio.ensure_future(gateway.submit([7]))
             await asyncio.sleep(0)

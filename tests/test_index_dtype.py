@@ -301,6 +301,56 @@ class TestBundleProvenance:
             validate_queries(graph, [2 ** 40])
         assert validate_queries(graph, [3, 7]).dtype == np.int32
 
+    @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64",
+                                       "uint8", "uint16", "uint32",
+                                       "uint64"])
+    def test_validate_queries_ndarray_path_matches_list_path(self, dtype):
+        # Integer ndarrays skip the per-element coercion; the result
+        # (dtype, values, never aliasing the input) and every rejection
+        # must match the per-element path over the same ids.
+        from types import SimpleNamespace
+
+        from repro.core.infer import validate_queries
+
+        def outcome(graph, queries):
+            try:
+                result = validate_queries(graph, queries)
+            except ValueError as exc:
+                return "ValueError", str(exc)
+            assert not np.shares_memory(result, queries)
+            return result.dtype, result.tolist()
+
+        info = np.iinfo(dtype)
+        graph = SimpleNamespace(num_nodes=30)
+        cases = [[0, 5, 29], [], [30], [info.max]]
+        if info.min < 0:
+            cases.append([3, -1])
+        if info.max > 2 ** 63:
+            cases.append([2 ** 64 - 1])    # above int64's maximum
+        for ids in cases:
+            array = np.array(ids, dtype=dtype)
+            assert outcome(graph, array) == outcome(graph, list(array))
+        assert outcome(graph, np.array([0, 5], dtype=dtype))[0] == np.int32
+        # Widening to int64 when the graph outgrows the int32 policy.
+        if info.max > 2 ** 31:
+            huge = SimpleNamespace(num_nodes=2 ** 31 + 10)
+            array = np.array([2 ** 31 + 5], dtype=dtype)
+            got = outcome(huge, array)
+            assert got == outcome(huge, list(array))
+            assert got == (np.int64, [2 ** 31 + 5])
+
+    @pytest.mark.parametrize("queries", [np.array([1.0, 2.0]),
+                                         np.array([True, False]),
+                                         np.array([[1, 2]])])
+    def test_validate_queries_rejects_non_index_arrays(self, queries):
+        from repro.core.infer import validate_queries
+
+        graph = make_graph(seed=43, num_nodes=30)
+        with pytest.raises(ValueError, match="must be integers"):
+            validate_queries(graph, queries)
+        with pytest.raises(ValueError, match="must be integers"):
+            validate_queries(graph, list(queries))
+
     def test_global_ids_reports_ids_beyond_int32(self):
         batch = GraphBatch([make_graph(seed=42, num_nodes=20)])
         with pytest.raises(ValueError, match="out of range"):

@@ -53,14 +53,29 @@ async def submit_pending(gateway, nodes, task, **kwargs):
     return pending
 
 
+#: Loop iterations a started gateway may take to answer what is queued.
+CLOCKLESS_YIELDS = 8
+
+
+async def yield_until_done(futures) -> bool:
+    """``sleep(0)`` up to :data:`CLOCKLESS_YIELDS` times; True once every
+    future is done.  No timed sleep: a ticker that needs a timer to
+    fire fails this."""
+    for _ in range(CLOCKLESS_YIELDS):
+        await asyncio.sleep(0)
+        if all(future.done() for future in futures):
+            return True
+    return False
+
+
 class TestGatewayConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="tick_seconds"):
-            GatewayConfig(tick_seconds=-1.0)
         with pytest.raises(ValueError, match="capacity"):
             GatewayConfig(capacity=0)
         with pytest.raises(ValueError, match="max_tick_requests"):
             GatewayConfig(max_tick_requests=0)
+        with pytest.raises(TypeError):      # no coalescing window to set
+            GatewayConfig(tick_seconds=0.002)
 
 
 class TestManualTicks:
@@ -286,8 +301,7 @@ class TestLifecycle:
         batches = [np.array([i]) for i in range(6)]
 
         async def scenario():
-            async with ServeGateway(
-                    engine, GatewayConfig(tick_seconds=0.001)) as gateway:
+            async with ServeGateway(engine) as gateway:
                 results = await asyncio.gather(
                     *[gateway.submit(nodes, task) for nodes in batches])
                 return results, gateway.stats()
@@ -296,32 +310,80 @@ class TestLifecycle:
         for nodes, result in zip(batches, results):
             assert np.array_equal(result, engine.predict_proba(nodes, task))
         assert stats.completed == len(batches)
-        assert stats.ticks >= 1
+        assert stats.ticks == 1
         assert stats.request_latency.count == len(batches)
+
+    def test_single_submit_resolves_without_a_timer(self, engine, task):
+        """Work-conserving ticker: a lone request is answered within a
+        few loop iterations — only ``sleep(0)`` yields, no clock."""
+        async def scenario():
+            async with ServeGateway(engine) as gateway:
+                pending = asyncio.ensure_future(gateway.submit([0], task))
+                done = await yield_until_done([pending])
+                return done, pending.result() if done else None
+
+        done, result = asyncio.run(scenario())
+        assert done, f"submit still pending after {CLOCKLESS_YIELDS} yields"
+        assert np.array_equal(result, engine.predict_proba([0], task))
+
+    def test_submits_gathered_in_one_step_share_one_tick(self, engine, task):
+        count = 12
+
+        async def scenario():
+            async with ServeGateway(engine) as gateway:
+                pending = [asyncio.ensure_future(gateway.submit([i], task))
+                           for i in range(count)]
+                return await yield_until_done(pending), gateway.stats()
+
+        done, stats = asyncio.run(scenario())
+        assert done, f"submits still pending after {CLOCKLESS_YIELDS} yields"
+        assert stats.tick_batch_requests.count == 1
+        assert stats.tick_batch_requests.mean == count
+        assert stats.empty_ticks == 0
+
+    def test_tick_remainder_drains_without_new_submit(self, engine, task):
+        async def scenario():
+            config = GatewayConfig(max_tick_requests=2)
+            async with ServeGateway(engine, config) as gateway:
+                results = await asyncio.gather(*[gateway.submit([i], task)
+                                                 for i in range(5)])
+                return results, gateway.stats()
+
+        results, stats = asyncio.run(scenario())
+        assert [r.shape[0] for r in results] == [1] * 5
+        assert stats.tick_batch_requests.count == 3     # 2 + 2 + 1
+        assert stats.ticks == 3
 
     def test_stop_drains_pending_by_default(self, engine, task):
         async def scenario():
-            gateway = ServeGateway(engine, GatewayConfig(tick_seconds=60.0))
+            gateway = ServeGateway(engine)
             await gateway.start()
-            pending = [await submit_pending(gateway, [i], task)
+            pending = [asyncio.ensure_future(gateway.submit([i], task))
                        for i in range(3)]
-            await gateway.stop()            # tick never fired; drain answers
-            return await asyncio.gather(*pending)
+            await asyncio.sleep(0)          # all three enqueue...
+            queued = len(gateway._queue)
+            await gateway.stop()            # ...and stop beats the ticker
+            return queued, await asyncio.gather(*pending), gateway.stats()
 
-        results = asyncio.run(scenario())
+        queued, results, stats = asyncio.run(scenario())
+        assert queued == 3
         assert [r.shape[0] for r in results] == [1, 1, 1]
+        assert stats.ticks == 1             # the drain's flush
 
     def test_stop_without_drain_fails_pending(self, engine, task):
         async def scenario():
-            gateway = ServeGateway(engine, GatewayConfig(tick_seconds=60.0))
+            gateway = ServeGateway(engine)
             await gateway.start()
             pending = await submit_pending(gateway, [0], task)
+            assert len(gateway._queue) == 1
             await gateway.stop(drain=False)
             with pytest.raises(GatewayClosed):
                 await pending
-            return gateway.closed
+            return gateway.closed, gateway.stats()
 
-        assert asyncio.run(scenario()) is True
+        closed, stats = asyncio.run(scenario())
+        assert closed is True
+        assert stats.ticks == 0
 
     def test_submit_after_stop_raises(self, engine, task):
         async def scenario():
