@@ -36,8 +36,9 @@ import logging
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -229,8 +230,8 @@ class CommunitySearchEngine:
         Width the LRU stores contexts at: ``"full"`` (the compute
         dtype), ``"float32"``, ``"float16"`` or ``"int8"`` (per-row
         symmetric quantisation).  ``None`` defers to the ambient policy
-        (:func:`repro.nn.backend.default_context_storage` /
-        ``REPRO_CONTEXT_STORAGE``; default ``"full"``).  Compacted
+        (:func:`repro.nn.backend.default_context_storage`: ``"full"``
+        unless a ``context_storage(...)`` scope is open).  Compacted
         storage multiplies how many task sessions fit in a fixed cache
         RAM budget; decodes dequantise to the compute dtype and run the
         final inner products with a float64 accumulator, keeping
@@ -288,8 +289,10 @@ class CommunitySearchEngine:
         self._lock = threading.RLock()
         self.selector = None
         self.method_pool: Dict[str, Any] = {}
-        self._meta_cache: "OrderedDict[Tuple[int, str], Dict[str, float]]" = \
-            OrderedDict()
+        # task -> {scenario: (graph data_version, meta-features)}; weak
+        # keys, so a freed task's entry goes with it.
+        self._meta_cache: "weakref.WeakKeyDictionary[Task, Dict]" = \
+            weakref.WeakKeyDictionary()
         self.configure_auto(selector=selector, method_pool=method_pool)
 
     @property
@@ -669,19 +672,18 @@ class CommunitySearchEngine:
 
     def _task_meta_features(self, task: Task,
                             scenario: str) -> Dict[str, float]:
-        """Meta-features of ``task``, cached (extraction is cheap but the
+        """Meta-features of ``task``, cached per task object and graph
+        version, so a delta re-extracts them (extraction is cheap but the
         auto path pays it per call otherwise; lock already held)."""
-        key = (id(task), scenario)
-        cached = self._meta_cache.get(key)
-        if cached is not None:
-            self._meta_cache.move_to_end(key)
-            return cached
+        version = getattr(task.graph, "data_version", 0)
+        per_scenario = self._meta_cache.setdefault(task, {})
+        cached = per_scenario.get(scenario)
+        if cached is not None and cached[0] == version:
+            return cached[1]
         from ..meta import task_meta_features
 
         features = task_meta_features(task, scenario)
-        self._meta_cache[key] = features
-        while len(self._meta_cache) > 4 * self.max_cached_contexts:
-            self._meta_cache.popitem(last=False)
+        per_scenario[scenario] = (version, features)
         return features
 
     def answer_task(self, task: Optional[Task] = None, method: str = "auto",

@@ -239,10 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serving precision (default float32 — weights "
                             "are cast on load; 'bundle' keeps the precision "
                             "the model was trained at)")
-    query.add_argument("--context-storage", default=None,
+    query.add_argument("--context-storage", default="full",
                        choices=["full", "float32", "float16", "int8"],
-                       help="context cache width (default: the ambient "
-                            "REPRO_CONTEXT_STORAGE policy, i.e. 'full'); "
+                       help="context cache width (default 'full'); "
                             "float16/int8 fit 2-8x more task sessions in "
                             "the same cache RAM")
     _add_index_flag(query)
@@ -297,10 +296,9 @@ def _add_serving_fixture_flags(parser: argparse.ArgumentParser) -> None:
                         choices=["float32", "float64", "bundle"],
                         help="serving precision (default float32; 'bundle' "
                              "keeps the training precision)")
-    parser.add_argument("--context-storage", default=None,
+    parser.add_argument("--context-storage", default="full",
                         choices=["full", "float32", "float16", "int8"],
-                        help="context cache width (default: the ambient "
-                             "REPRO_CONTEXT_STORAGE policy, i.e. 'full')")
+                        help="context cache width (default 'full')")
     parser.add_argument("--nodes-per-request", type=int, default=1,
                         help="query nodes per simulated request (1 = the "
                              "single-query traffic the gateway exists for)")

@@ -255,9 +255,9 @@ class GNNEncoder(Module):
     def _fused_active(self) -> bool:
         """Whether the fused inference kernels may dispatch right now.
 
-        All three conditions are required: the policy switch is on
-        (``REPRO_FUSED`` / ``fused_inference``), the module is in eval
-        mode (dropout is identity, so skipping it is exact), and no
+        All three conditions are required: the policy is on (it is
+        unless a ``fused_inference(False)`` scope is open), the module is
+        in eval mode (dropout is identity, so skipping it is exact), and no
         gradient tape is recording (the fused kernels have no VJPs).
         Training numerics can therefore never change under this flag.
         """

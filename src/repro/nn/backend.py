@@ -18,13 +18,12 @@ numerical choices that used to be hardwired all over the stack:
   ``indices``/``indptr`` and gather/scatter/segment index arrays never
   need to address more than 2^31 nodes in this repository, so they
   default to ``int32`` — halving the index bandwidth of every sparse
-  op.  The index policy mirrors the element policy exactly:
+  op.  The index policy mirrors the element policy:
   :func:`resolve_index_dtype` is the one call every index-creating site
-  makes, ``with index_precision("int64"):`` scopes an override, and
-  ``REPRO_INDEX_DTYPE`` / :func:`set_default_index_dtype` set the
-  process default.  Index width never changes computed *values* — only
-  the width of the bookkeeping arrays — so switching it is always
-  numerically safe.
+  makes, ``with index_precision("int64"):`` scopes an override, and the
+  ``REPRO_INDEX_DTYPE`` environment variable sets the process default.
+  Index width never changes computed *values* — only the width of the
+  bookkeeping arrays — so switching it is always numerically safe.
 
 * **Which array library executes the dense/sparse kernels.**  The
   :class:`ArrayBackend` protocol gathers the operations the autograd
@@ -35,6 +34,13 @@ numerical choices that used to be hardwired all over the stack:
   The seam lets a caller substitute an instance with
   :func:`set_backend` / ``with use_backend(...)`` — tests install
   counting or renamed refinements of :class:`NumpyBackend` this way.
+
+Two inference-only policies have a fixed default and a per-thread
+scope, with no process-wide knob: fused inference kernels are on
+(``with fused_inference(False):`` selects the unfused reference path)
+and serving contexts are cached at full width (``with
+context_storage("int8"):``; the engine and CLI also take the width as
+an argument).
 
 Cache-key convention
 --------------------
@@ -78,9 +84,6 @@ __all__ = [
     "default_index_dtype",
     "default_context_storage",
     "set_default_dtype",
-    "set_default_index_dtype",
-    "set_default_context_storage",
-    "set_fused_inference",
     "fused_inference_enabled",
     "resolve_dtype",
     "resolve_index_dtype",
@@ -220,43 +223,14 @@ def _canonical_context_storage(value: str) -> str:
     return key
 
 
-def _context_storage_from_env() -> str:
-    """The process default from ``REPRO_CONTEXT_STORAGE`` (default full)."""
-    value = os.environ.get("REPRO_CONTEXT_STORAGE", "full")
-    try:
-        return _canonical_context_storage(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"invalid REPRO_CONTEXT_STORAGE environment variable: "
-            f"{exc}") from exc
-
-
-def _fused_from_env() -> bool:
-    """The process default from ``REPRO_FUSED`` (default on)."""
-    value = os.environ.get("REPRO_FUSED", "1").strip().lower()
-    if value in ("1", "true", "on", "yes"):
-        return True
-    if value in ("0", "false", "off", "no"):
-        return False
-    raise ValueError(
-        f"invalid REPRO_FUSED environment variable: {value!r} "
-        f"(use 1/0, on/off, true/false)")
-
-
 #: Process-wide default precision; ``precision(...)`` overrides are
 #: per-thread, but this base is shared so ``set_default_dtype`` is
 #: visible from worker threads too.
 _PROCESS_DEFAULT_PRECISION = _precision_from_env()
 
-#: Process-wide default index width (same sharing rules as above).
+#: Process-wide default index width, fixed at import by
+#: ``REPRO_INDEX_DTYPE``; ``index_precision(...)`` overrides are per-thread.
 _PROCESS_DEFAULT_INDEX_DTYPE = _index_dtype_from_env()
-
-#: Process-wide default cache width for serving contexts.
-_PROCESS_DEFAULT_CONTEXT_STORAGE = _context_storage_from_env()
-
-#: Process-wide switch for the fused inference kernels (the kill switch
-#: is ``REPRO_FUSED=0``; fusion never applies when gradients are on).
-_PROCESS_FUSED_INFERENCE = _fused_from_env()
 
 
 class _PolicyState(threading.local):
@@ -296,23 +270,11 @@ def set_default_dtype(dtype: DTypeLike) -> None:
     _PROCESS_DEFAULT_PRECISION = Precision(dtype)
 
 
-def set_default_index_dtype(dtype: DTypeLike) -> None:
-    """Replace the process-wide default index width (all threads)."""
-    global _PROCESS_DEFAULT_INDEX_DTYPE
-    _PROCESS_DEFAULT_INDEX_DTYPE = _canonical_index_dtype(dtype)
-
-
 def default_context_storage() -> str:
     """The ambient context-storage policy (innermost ``context_storage``
-    context wins, falling back to the process-wide default)."""
+    context wins, falling back to ``"full"``)."""
     stack = _POLICY.storage_stack
-    return stack[-1] if stack else _PROCESS_DEFAULT_CONTEXT_STORAGE
-
-
-def set_default_context_storage(storage: str) -> None:
-    """Replace the process-wide default context cache width (all threads)."""
-    global _PROCESS_DEFAULT_CONTEXT_STORAGE
-    _PROCESS_DEFAULT_CONTEXT_STORAGE = _canonical_context_storage(storage)
+    return stack[-1] if stack else "full"
 
 
 def resolve_context_storage(storage: Optional[str] = None) -> str:
@@ -348,7 +310,8 @@ def context_storage(storage: str) -> Iterator[str]:
 
 
 def fused_inference_enabled() -> bool:
-    """Whether the fused inference kernels are enabled right now.
+    """Whether the fused inference kernels are enabled right now (on
+    unless a ``fused_inference(False)`` scope is open in this thread).
 
     This is a *policy*, not a capability probe: the encoder additionally
     requires eval mode and gradients off before it dispatches the fused
@@ -361,21 +324,15 @@ def fused_inference_enabled() -> bool:
     False
     """
     stack = _POLICY.fused_stack
-    return stack[-1] if stack else _PROCESS_FUSED_INFERENCE
-
-
-def set_fused_inference(enabled: bool) -> None:
-    """Flip the process-wide fused-inference switch (all threads)."""
-    global _PROCESS_FUSED_INFERENCE
-    _PROCESS_FUSED_INFERENCE = bool(enabled)
+    return stack[-1] if stack else True
 
 
 @contextlib.contextmanager
 def fused_inference(enabled: bool = True) -> Iterator[bool]:
     """Scoped fused-inference override:
     ``with fused_inference(False): ...`` forces the unfused reference
-    path even in eval/no-grad mode (the A/B lever benchmarks and parity
-    tests use)."""
+    path even in eval/no-grad mode (the reference the parity tests
+    compare against)."""
     _POLICY.fused_stack.append(bool(enabled))
     try:
         yield bool(enabled)

@@ -17,8 +17,9 @@ Design notes
   each node's vector-Jacobian product exactly once.
 * Broadcasting in forward ops is undone in backward by
   :func:`_unbroadcast`, so gradients always match the parent's shape.
-* A module-level switch (:func:`no_grad`) disables taping, which the
-  inference paths use to avoid building graphs.
+* A per-thread switch (:func:`no_grad`) disables taping, which the
+  inference paths use to avoid building graphs; a serving thread's
+  ``no_grad`` never stops another thread from training.
 
 The op surface is intentionally small but complete for graph neural
 networks: arithmetic with broadcasting, (batched) matmul, reductions,
@@ -30,6 +31,7 @@ functional ops in :mod:`repro.nn.functional`.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -49,7 +51,15 @@ __all__ = [
 Number = Union[int, float]
 TensorLike = Union["Tensor", np.ndarray, Number, Sequence]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode: every thread starts with taping on."""
+
+    def __init__(self):
+        self.enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 @contextlib.contextmanager
@@ -57,20 +67,21 @@ def no_grad():
     """Context manager that disables gradient taping.
 
     Inside the block, newly created tensors never require gradients and no
-    backward closures are recorded, mirroring ``torch.no_grad``.
+    backward closures are recorded, mirroring ``torch.no_grad``.  The
+    switch is per thread: other threads keep taping.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations are currently recorded for backward."""
-    return _GRAD_ENABLED
+    """Return whether operations are currently recorded for backward
+    (in the calling thread)."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -145,7 +156,7 @@ class Tensor:
                 array = array.astype(target)
         self.data: np.ndarray = array
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad: bool = bool(requires_grad) and _GRAD_MODE.enabled
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
@@ -218,7 +229,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Create a non-leaf tensor, recording the tape if grad is enabled."""
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         if isinstance(data, np.generic):
             # A full reduction or 0-d arithmetic yields a numpy scalar,
             # which the constructor would recast to the policy dtype; a

@@ -9,8 +9,8 @@ decoder.  Decodes under compacted storage run the final inner products
 with a float64 accumulator so decode rounding never stacks on
 quantisation error.
 
-Also pinned here: the storage policy plumbing (env var, process
-default, scoped override), the ``_StoredContext`` byte accounting that
+Also pinned here: the storage policy plumbing (default and scoped
+override), the ``_StoredContext`` byte accounting that
 feeds the ``context_cache_bytes`` gauge and
 ``contexts_bytes_evicted`` counter, and the gateway round-trip.
 """
@@ -29,8 +29,7 @@ from repro.eval.metrics import binary_metrics
 from repro.graph import attributed_community_graph
 from repro.nn.backend import (SUPPORTED_CONTEXT_STORAGE, context_storage,
                               default_context_storage,
-                              resolve_context_storage,
-                              set_default_context_storage)
+                              resolve_context_storage)
 from repro.nn.tensor import Tensor
 from repro.serve import ServeGateway, ServeStats
 from repro.tasks import TaskSampler
@@ -92,24 +91,6 @@ class TestStoragePolicy:
                 assert resolve_context_storage() == "float16"
             assert resolve_context_storage() == "int8"
         assert resolve_context_storage() == "full"
-
-    def test_process_default(self):
-        set_default_context_storage("float16")
-        try:
-            assert resolve_context_storage() == "float16"
-            # Explicit arguments and scopes still beat the process default.
-            assert resolve_context_storage("int8") == "int8"
-        finally:
-            set_default_context_storage("full")
-
-    def test_env_var(self, monkeypatch):
-        from repro.nn.backend import _context_storage_from_env
-
-        monkeypatch.setenv("REPRO_CONTEXT_STORAGE", "int8")
-        assert _context_storage_from_env() == "int8"
-        monkeypatch.setenv("REPRO_CONTEXT_STORAGE", "bogus")
-        with pytest.raises(ValueError, match="REPRO_CONTEXT_STORAGE"):
-            _context_storage_from_env()
 
     def test_engine_inherits_ambient_policy(self, fixture_tasks):
         model = build_model(fixture_tasks)

@@ -17,8 +17,7 @@ from repro.core import CGNP, CGNPConfig, task_batch_loss, task_loss
 from repro.graph import GraphBatch, attributed_community_graph, stack_csr
 from repro.gnn.conv import GRAPH_OPS_KEY, graph_ops
 from repro.nn.backend import (SUPPORTED_INDEX_DTYPES, default_index_dtype,
-                              index_precision, resolve_index_dtype,
-                              set_default_index_dtype)
+                              index_precision, resolve_index_dtype)
 from repro.tasks import TaskSampler
 from repro.utils import make_rng
 
@@ -78,25 +77,6 @@ class TestPolicy:
                 assert resolve_index_dtype() == np.int32
             assert resolve_index_dtype() == np.int64
         assert resolve_index_dtype() == np.int32
-
-    def test_process_default_setter(self):
-        import threading
-
-        def process_default():
-            seen = {}
-            worker = threading.Thread(
-                target=lambda: seen.update(dtype=default_index_dtype()))
-            worker.start()
-            worker.join()
-            return seen["dtype"]
-
-        previous = process_default()
-        try:
-            set_default_index_dtype("int64")
-            assert process_default() == np.int64
-        finally:
-            set_default_index_dtype(previous)
-        assert process_default() == previous
 
     def test_env_default_validated(self, monkeypatch):
         from repro.nn.backend import _index_dtype_from_env

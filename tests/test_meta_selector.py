@@ -10,11 +10,13 @@ from repro.baselines.base import CommunitySearchMethod, threshold_prediction
 from repro.core import CGNP, CGNPConfig
 from repro.eval import evaluate_method
 from repro.eval.store import ResultsStore, RunRecord
+from repro.graph import GraphDelta
 from repro.meta import (META_FEATURE_NAMES, MethodSelector, feature_vector,
                         task_meta_features)
 from repro.meta.selector import (SELECTOR_FORMAT, SELECTOR_HEADER_KEY,
                                  SELECTOR_VERSION)
 from repro.serve import ServeStats
+from repro.tasks import TaskSampler
 from repro.tasks.scenarios import SCENARIOS
 from repro.tasks.task import TaskSet
 from repro.utils import make_rng
@@ -314,6 +316,37 @@ class TestEngineAuto:
         assert stats.auto_fallbacks == 1
         assert stats.method_picks == {engine.native_method: 1}
         assert any("abstained" in message for message in caplog.messages)
+
+    def test_meta_features_follow_a_delta(self, small_community_graph,
+                                          tiny_tasks):
+        # The auto path must route on the post-delta graph, not on
+        # meta-features cached before the delta.
+        class Recorder:
+            def __init__(self):
+                self.seen = []
+
+            def select(self, features, candidates=None):
+                self.seen.append(dict(features))
+                return None
+
+        sampler = TaskSampler(small_community_graph, subgraph_nodes=40,
+                              num_support=2, num_query=2)
+        task = sampler.sample_task(make_rng(4))
+        recorder = Recorder()
+        engine = self.make_engine(tiny_tasks).configure_auto(
+            selector=recorder)
+        engine.answer_task(task, method="auto")
+        graph = task.graph
+        present = {tuple(edge) for edge in graph.edges.tolist()}
+        absent = [(u, v) for u in range(graph.num_nodes)
+                  for v in range(u + 1, graph.num_nodes)
+                  if (u, v) not in present][:3]
+        engine.apply_delta(GraphDelta(add_edges=np.array(absent)), task=task)
+        engine.answer_task(task, method="auto")
+        assert recorder.seen[1]["log_num_edges"] == \
+            task_meta_features(task)["log_num_edges"]
+        assert recorder.seen[1]["log_num_edges"] > \
+            recorder.seen[0]["log_num_edges"]
 
     def test_stats_snapshot_isolated_from_live_counters(self, tiny_tasks):
         engine = self.make_engine(tiny_tasks)

@@ -78,6 +78,30 @@ class TestBackwardMechanics:
         assert not y.requires_grad
         assert is_grad_enabled()
 
+    def test_no_grad_is_per_thread(self):
+        # A serving thread inside no_grad must not stop this thread taping.
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+
+        def serve():
+            with no_grad():
+                entered.set()
+                release.wait(5.0)
+
+        worker = threading.Thread(target=serve)
+        worker.start()
+        try:
+            assert entered.wait(5.0)
+            assert is_grad_enabled()
+            x = Tensor([1.0], requires_grad=True)
+            assert x.requires_grad
+            assert (x * 2).requires_grad
+        finally:
+            release.set()
+            worker.join()
+        assert is_grad_enabled()
+
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)
         (t * 2).backward(np.ones(1))
