@@ -242,8 +242,8 @@ class CommunitySearchEngine:
     lock guards the context LRU, the stats counters and the decode pass
     itself, so callers on several threads or async tasks can share one
     engine without corrupting the ``OrderedDict`` or losing counter
-    increments — calls serialise rather than interleave (the autograd tape switch
-    is process-global, so concurrent forwards would be unsafe anyway).
+    increments — calls serialise rather than interleave, since every
+    forward reads the one shared model and context cache.
     ``stats()`` returns an isolated snapshot and may be called from any
     thread at any time; for *concurrent* request handling put the
     :class:`~repro.serve.ServeGateway` in front of the engine instead of

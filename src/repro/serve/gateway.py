@@ -20,7 +20,7 @@ converts the former into the latter:
    per-request BLAS shapes; see the engine docstring).
 
 The decode runs *inline* on the event loop: the numerical kernels hold
-the engine lock and the autograd tape switch is process-global, so a
+the engine lock over the one shared model and context cache, so a
 thread pool would serialise anyway — and an inline decode keeps tick
 latency deterministic.  Callers on other threads submit through
 ``asyncio.run_coroutine_threadsafe(gateway.submit(...), gateway.loop)``.

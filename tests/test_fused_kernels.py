@@ -151,8 +151,7 @@ class TestEncoderFusedDispatch:
         with no_grad():
             with fused_inference(False):
                 expected = encoder(features, task.graph)
-            with fused_inference(True):
-                fused = encoder(features, task.graph)
+            fused = encoder(features, task.graph)
         np.testing.assert_array_equal(fused.data, expected.data)
 
     def test_training_mode_never_fuses(self, fixture_tasks):
@@ -162,9 +161,8 @@ class TestEncoderFusedDispatch:
         features = Tensor(task.features())
         encoder = GNNEncoder(features.shape[1], 8, 2, "gcn", 0.0, make_rng(0))
         encoder.train()
-        with fused_inference(True):
-            out = encoder(features, task.graph)
-            out.sum().backward()
+        out = encoder(features, task.graph)
+        out.sum().backward()
         assert encoder.convs[0].weight.grad is not None
 
     def test_grad_tape_blocks_fusion(self, fixture_tasks):
@@ -174,8 +172,7 @@ class TestEncoderFusedDispatch:
         encoder.eval()
         assert not encoder._fused_active()       # tape is on by default
         with no_grad():
-            with fused_inference(True):
-                assert encoder._fused_active()
+            assert encoder._fused_active()
             with fused_inference(False):
                 assert not encoder._fused_active()
 
@@ -191,8 +188,7 @@ class TestContextFold:
         with no_grad():
             with fused_inference(False):
                 expected, off_ref = model.context_concat(fixture_tasks)
-            with fused_inference(True):
-                fused, offsets = model.context_concat(fixture_tasks)
+            fused, offsets = model.context_concat(fixture_tasks)
         np.testing.assert_array_equal(offsets, off_ref)
         scale = np.max(np.abs(expected.data))
         assert np.max(np.abs(fused.data - expected.data)) <= 1e-10 * scale
@@ -208,8 +204,7 @@ class TestContextFold:
         with no_grad():
             with fused_inference(False):
                 expected, _ = model.context_concat(fixture_tasks, supports)
-            with fused_inference(True):
-                fused, _ = model.context_concat(fixture_tasks, supports)
+            fused, _ = model.context_concat(fixture_tasks, supports)
         scale = np.max(np.abs(expected.data))
         assert np.max(np.abs(fused.data - expected.data)) <= 1e-10 * scale
 
@@ -224,8 +219,7 @@ class TestContextFold:
         with no_grad():
             with fused_inference(False):
                 expected, _ = model.context_concat(fixture_tasks, supports)
-            with fused_inference(True):
-                fused, _ = model.context_concat(fixture_tasks, supports)
+            fused, _ = model.context_concat(fixture_tasks, supports)
         np.testing.assert_array_equal(fused.data, expected.data)
 
     def test_attention_aggregator_unaffected(self, fixture_tasks):
@@ -239,8 +233,7 @@ class TestContextFold:
         with no_grad():
             with fused_inference(False):
                 expected, _ = model.context_concat(fixture_tasks)
-            with fused_inference(True):
-                fused, _ = model.context_concat(fixture_tasks)
+            fused, _ = model.context_concat(fixture_tasks)
         np.testing.assert_array_equal(fused.data, expected.data)
 
     def test_activate_final_disables_fold(self, fixture_tasks):
@@ -252,7 +245,7 @@ class TestContextFold:
         model.encoder.activate_final = True
         model.eval()
         assert not model._fold_active()
-        with no_grad(), fused_inference(True):
+        with no_grad():
             assert not model._fold_active()
             model.encoder.activate_final = False
             assert model._fold_active()
@@ -274,9 +267,8 @@ class TestContextFold:
         with fused_inference(False):
             expected = CommunitySearchEngine(model).attach(task) \
                 .predict_proba(nodes)
-        with fused_inference(True):
-            fused = CommunitySearchEngine(model).attach(task) \
-                .predict_proba(nodes)
+        fused = CommunitySearchEngine(model).attach(task) \
+            .predict_proba(nodes)
         np.testing.assert_array_equal(fused >= 0.5, expected >= 0.5)
         assert np.max(np.abs(fused - expected)) <= 1e-5
 
@@ -291,8 +283,7 @@ class TestContextFold:
             with no_grad():
                 with fused_inference(False):
                     expected, _ = model.context_concat(fixture_tasks)
-                with fused_inference(True):
-                    fused, _ = model.context_concat(fixture_tasks)
+                fused, _ = model.context_concat(fixture_tasks)
             tol = 1e-10 if elem == "float64" else 1e-4
             scale = np.max(np.abs(expected.data))
             assert np.max(np.abs(fused.data - expected.data)) <= tol * scale

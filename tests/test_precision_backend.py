@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from repro.api import CommunitySearchEngine, ModelBundle
 from repro.api.bundle import BUNDLE_HEADER_KEY
 from repro.core import CGNP, CGNPConfig, MetaTrainConfig, meta_train
+from repro.eval.metrics import community_metrics
 from repro.gnn.conv import GRAPH_OPS_KEY, graph_ops
 from repro.graph import Graph, attributed_community_graph
 from repro.nn import Adam, Linear, Tensor
@@ -381,6 +382,60 @@ class TestEngineServingDtype:
         engine.attach(task)
         members = engine.query(task.queries[0].query)
         assert task.queries[0].query in members.tolist()
+
+    @staticmethod
+    def _ranking_auc(scores, labels):
+        """Mann–Whitney AUC of ``scores`` against a boolean mask."""
+        labels = np.asarray(labels, dtype=bool)
+        n_pos = int(labels.sum())
+        n_neg = labels.size - n_pos
+        if n_pos == 0 or n_neg == 0:
+            return float("nan")
+        ranks = np.empty(scores.size)
+        ranks[np.argsort(scores, kind="mergesort")] = np.arange(1, scores.size + 1)
+        return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0)
+                     / (n_pos * n_neg))
+
+    def test_trained_bundle_metrics_agree_across_serving_dtypes(self, tmp_path):
+        """A meta-trained float64 bundle served at float32 must keep the
+        float64 eval metrics: per-query F1 and ranking AUC within 1e-3."""
+        with precision("float64"):
+            tasks = [_sample_task(seed=50 + 2 * i, name=f"train{i}")
+                     for i in range(4)]
+            test_task = _sample_task(seed=60, name="test")
+            model = CGNP(tasks[0].features().shape[1],
+                         CGNPConfig(hidden_dim=16, num_layers=2, conv="gcn",
+                                    decoder="ip"), make_rng(5))
+            state = meta_train(model, tasks,
+                               MetaTrainConfig(epochs=3, learning_rate=5e-3),
+                               make_rng(6))
+        assert state.epoch_losses[-1] < state.epoch_losses[0]
+        path = str(tmp_path / "trained.npz")
+        ModelBundle.from_model(model).save(path)
+
+        queries = [example.query for example in test_task.queries]
+        per_dtype = {}
+        for dtype in ("float32", "float64"):
+            engine = CommunitySearchEngine.from_bundle(path, dtype=dtype)
+            engine.attach(test_task)
+            probabilities = engine.predict_proba(queries)
+            aucs, f1s = [], []
+            for row, example in zip(probabilities, test_task.queries):
+                keep = np.ones(test_task.graph.num_nodes, dtype=bool)
+                keep[example.query] = False
+                aucs.append(self._ranking_auc(row[keep],
+                                              example.membership[keep]))
+                members = np.flatnonzero(row >= 0.5)
+                f1s.append(community_metrics(members, example.membership,
+                                             example.query).f1)
+            per_dtype[dtype] = (probabilities, np.asarray(aucs),
+                                np.asarray(f1s))
+        (p32, auc32, f1_32), (p64, auc64, f1_64) = (per_dtype["float32"],
+                                                   per_dtype["float64"])
+        assert p32.dtype == np.float32 and p64.dtype == np.float64
+        np.testing.assert_allclose(p32, p64, atol=1e-3)
+        assert np.nanmax(np.abs(auc32 - auc64)) <= 1e-3
+        assert np.max(np.abs(f1_32 - f1_64)) <= 1e-3
 
     def test_attach_many_rejects_mixed_feature_dtypes(self):
         with precision("float32"):
