@@ -422,8 +422,10 @@ class CommunitySearchEngine:
             # residency bound — nothing to check.
             return
         config = self.model.config
-        dtypes = {task.features(config.use_attributes,
-                                config.use_structural).dtype.name
+        # The layer-0 input the batched encode reads next (cached): the
+        # dense ``features()`` matrix would be built only for its dtype.
+        dtypes = {task.encoder_features(config.use_attributes,
+                                        config.use_structural).dtype.name
                   for task in tasks}
         if len(dtypes) > 1:
             raise ValueError(

@@ -308,8 +308,8 @@ class CGNP(Module):
         """One task's context matrix via the shard-streaming encoder.
 
         Pooling replicates the dense segment-scatter exactly: start from
-        zeros and add replica blocks in view order — the same per-row
-        addition sequence ``np.add.at`` performs on the dense path.
+        zeros and add replica blocks in view order — the edge-order sum
+        ``scatter_add_rows`` computes on the dense path.
         """
         if not examples:
             raise ValueError("context requires at least one support example")

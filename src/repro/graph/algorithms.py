@@ -45,46 +45,74 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Cores
 # ----------------------------------------------------------------------
+#: Below this many nodes a peel round runs as a scalar queue: a chain
+#: (a long path) peels a node or two per round, where numpy's per-call
+#: overhead would dominate.
+_SCALAR_PEEL = 8
+
+
 def core_numbers(graph: Graph) -> np.ndarray:
-    """Core number of every node (Batagelj–Zaversnik peeling, O(m)).
+    """Core number of every node (Batagelj–Zaversnik peeling).
 
     The core number of ``v`` is the largest ``k`` such that ``v`` belongs to
     a subgraph in which every node has degree at least ``k``.
+
+    The peel is level-synchronous: at level ``k`` every live node of
+    degree <= ``k`` is peeled at once (core ``k``) and its live
+    neighbours lose one degree per peeled neighbour; the next round's
+    candidates are only those neighbours, so no round rescans all
+    ``n``.  When no candidate remains, ``k`` rises to the smallest live
+    degree.  Rounds of fewer than :data:`_SCALAR_PEEL` nodes drain as a
+    scalar queue instead.
     """
-    n = graph.num_nodes
-    degree = graph.degrees().copy()
-    max_degree = int(degree.max(initial=0))
-
-    # Bucket sort nodes by degree.
-    bin_starts = np.zeros(max_degree + 2, dtype=np.int64)
-    for d in degree:
-        bin_starts[d + 1] += 1
-    bin_starts = np.cumsum(bin_starts)
-    position = np.zeros(n, dtype=np.int64)
-    order = np.zeros(n, dtype=np.int64)
-    fill = bin_starts[:-1].copy()
-    for v in range(n):
-        position[v] = fill[degree[v]]
-        order[position[v]] = v
-        fill[degree[v]] += 1
-
-    bin_ptr = bin_starts[:-1].copy()
-    core = degree.copy()
-    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
-    for i in range(n):
-        v = order[i]
-        for u in indices[indptr[v]:indptr[v + 1]]:
-            if core[u] > core[v]:
-                # Move u one bucket down: swap with the first node of its bucket.
-                du = core[u]
-                pu = position[u]
-                pw = bin_ptr[du]
-                w = order[pw]
-                if u != w:
-                    order[pu], order[pw] = w, u
-                    position[u], position[w] = pw, pu
-                bin_ptr[du] += 1
-                core[u] -= 1
+    adjacency = graph.adjacency
+    indptr = adjacency.indptr.astype(np.int64)
+    indices = adjacency.indices
+    degree = np.diff(indptr)
+    core = np.zeros(graph.num_nodes, dtype=adjacency.indptr.dtype)
+    alive = np.ones(graph.num_nodes, dtype=bool)
+    left = graph.num_nodes
+    k = 0
+    # Peeled at level k (core set, dead) but not yet subtracted from
+    # their neighbours' degrees.
+    frontier = indptr[:0]
+    rows = cols = None
+    while left:
+        if frontier.size == 0:
+            live = np.flatnonzero(alive)
+            k = int(degree[live].min())
+            frontier = live[degree[live] <= k]
+            core[frontier] = k
+            alive[frontier] = False
+            left -= frontier.size
+        if frontier.size >= _SCALAR_PEEL:
+            starts = indptr[frontier]
+            lengths = indptr[frontier + 1] - starts
+            offsets = np.repeat(starts - np.cumsum(lengths) + lengths,
+                                lengths)
+            neighbours = indices[offsets + np.arange(offsets.size)]
+            touched, counts = np.unique(neighbours[alive[neighbours]],
+                                        return_counts=True)
+            degree[touched] -= counts
+            frontier = touched[degree[touched] <= k]
+            core[frontier] = k
+            alive[frontier] = False
+            left -= frontier.size
+            continue
+        if rows is None:
+            rows, cols = indptr.tolist(), indices.tolist()
+        queue = frontier.tolist()
+        while queue and len(queue) < _SCALAR_PEEL:
+            v = queue.pop()
+            for u in cols[rows[v]:rows[v + 1]]:
+                if alive[u]:
+                    degree[u] -= 1
+                    if degree[u] == k:
+                        core[u] = k
+                        alive[u] = False
+                        left -= 1
+                        queue.append(u)
+        frontier = np.asarray(queue, dtype=np.int64)
     return core
 
 
@@ -137,12 +165,13 @@ def triangle_counts(graph: Graph) -> np.ndarray:
     return np.asarray(closed.sum(axis=1), dtype=np.int64).ravel() // 2
 
 
-def local_clustering_coefficients(graph: Graph) -> np.ndarray:
+def local_clustering_coefficients(graph: Graph, dtype=None) -> np.ndarray:
     """Watts–Strogatz local clustering coefficient of every node.
 
-    ``c(v) = 2 T(v) / (deg(v) (deg(v) - 1))`` with ``c = 0`` for degree < 2.
+    ``c(v) = 2 T(v) / (deg(v) (deg(v) - 1))`` with ``c = 0`` for degree < 2,
+    computed at ``dtype`` (default: the ambient policy).
     """
-    dtype = resolve_dtype()
+    dtype = resolve_dtype(dtype)
     triangles = triangle_counts(graph).astype(dtype)
     degrees = graph.degrees().astype(dtype)
     denom = degrees * (degrees - 1.0)

@@ -569,6 +569,9 @@ def apply_graph_delta(graph, delta: GraphDelta, repair: bool = True
         nodes, values = delta.update_attributes
         graph.attributes[nodes] = values.astype(graph.attributes.dtype,
                                                 copy=False)
+    if new_attributes is not None and (delta.add_nodes
+                                       or delta.update_attributes is not None):
+        graph.attribute_version = getattr(graph, "attribute_version", 0) + 1
 
     graph.data_version = getattr(graph, "data_version", 0) + 1
 

@@ -38,7 +38,7 @@ def structural_features(graph: Graph, normalize: bool = True) -> np.ndarray:
     cores = core_numbers(graph).astype(dtype)
     if normalize and cores.max(initial=0.0) > 0:
         cores = cores / cores.max()
-    clustering = local_clustering_coefficients(graph).astype(dtype, copy=False)
+    clustering = local_clustering_coefficients(graph, dtype)
     return np.stack([cores, clustering], axis=1)
 
 

@@ -175,6 +175,11 @@ class Graph(OpsCache):
         # validate against it, so even holders the engine has forgotten
         # about can never serve values computed from a previous state.
         self.data_version = 0
+        # Bumped, next to ``data_version``, only when ``attributes``
+        # changes (``set_attributes``, a delta appending attributed
+        # nodes or patching rows in place): caches derived from the
+        # attributes alone survive structure-only deltas.
+        self.attribute_version = 0
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -234,6 +239,7 @@ class Graph(OpsCache):
                 )
         self.attributes = attributes
         self.data_version = getattr(self, "data_version", 0) + 1
+        self.attribute_version = getattr(self, "attribute_version", 0) + 1
         self.invalidate_cached_ops()
 
     def apply_delta(self, delta, repair: bool = True):
@@ -300,7 +306,8 @@ class Graph(OpsCache):
 
     def degrees(self) -> np.ndarray:
         """Degree of every node (at the adjacency's index width)."""
-        return np.diff(self.adjacency.indptr)
+        indptr = self.adjacency.indptr
+        return indptr[1:] - indptr[:-1]
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

@@ -343,6 +343,8 @@ class ShardedGraph(Graph):
         """
         self.attributes = self._init_feature_storage(attributes,
                                                      attribute_dim)
+        self.data_version += 1
+        self.attribute_version += 1
         self.invalidate_cached_ops()
 
     def flush(self) -> None:

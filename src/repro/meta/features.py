@@ -16,6 +16,8 @@ change, not a refactor.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Dict, List
 
 import numpy as np
@@ -31,10 +33,12 @@ _CLUSTERING_SAMPLE = 32
 #: on hub-heavy graphs.
 _NEIGHBOR_CAP = 10
 
-#: Upper-triangle pair indices for every capped neighbourhood size —
-#: built once so the clustering proxy never calls ``triu_indices`` on
-#: the hot path.
-_TRIU = {k: np.triu_indices(k, 1) for k in range(2, _NEIGHBOR_CAP + 1)}
+#: Neighbour-position pairs ``(i, j)``, ``i < j < _NEIGHBOR_CAP``: the
+#: wedges of a capped neighbour list of length ``k`` are the pairs with
+#: ``j < k``.
+_PAIR_I, _PAIR_J = np.triu_indices(_NEIGHBOR_CAP, 1)
+#: Wedges of a capped neighbour list, by its length ``k``: ``k(k-1)/2``.
+_WEDGES = np.array([k * (k - 1) // 2 for k in range(_NEIGHBOR_CAP + 1)])
 
 #: Canonical feature ordering (scenario one-hot last).  Persisted in the
 #: selector artifact; extend only by appending.
@@ -52,46 +56,47 @@ META_FEATURE_NAMES: List[str] = [
 ] + [f"scenario_{name}" for name in SCENARIOS]
 
 
-def _clustering_proxy(task: Task) -> float:
+@functools.lru_cache(maxsize=64)
+def _sample_nodes(n: int) -> np.ndarray:
+    """The clustering proxy's evenly spaced sample of ``n`` nodes."""
+    sample = np.unique(np.linspace(0, n - 1, num=min(_CLUSTERING_SAMPLE, n),
+                                   dtype=np.int64))
+    sample.flags.writeable = False
+    return sample
+
+
+def _clustering_proxy(graph, degrees: np.ndarray) -> float:
     """Sampled local clustering coefficient (deterministic).
 
     Evenly spaced sample nodes, capped neighbour lists, closed-wedge
-    counting via ``has_edge`` — a stable proxy for transitivity at a
-    fixed cost, not an exact coefficient.
+    counting via a ``has_edge`` probe per neighbour pair — a stable
+    proxy for transitivity at a fixed cost, not an exact coefficient.
+    ``degrees`` is ``graph.degrees()``.
     """
-    graph = task.graph
     n = graph.num_nodes
     if n < 3:
         return 0.0
-    sample = np.unique(np.linspace(0, n - 1, num=min(_CLUSTERING_SAMPLE, n),
-                                   dtype=np.int64))
-    indptr = graph.adjacency.indptr
-    indices = graph.adjacency.indices
-    wedges = 0
-    pair_u: List[np.ndarray] = []
-    pair_v: List[np.ndarray] = []
-    for node in sample:
-        start = int(indptr[node])
-        k = min(int(indptr[node + 1]) - start, _NEIGHBOR_CAP)
-        if k < 2:
-            continue
-        wedges += k * (k - 1) // 2
-        neigh = indices[start:start + k]
-        iu, iv = _TRIU[k]
-        pair_u.append(neigh[iu])
-        pair_v.append(neigh[iv])
+    sample = _sample_nodes(n)
+    caps = np.minimum(degrees[sample], _NEIGHBOR_CAP)
+    wedges = int(_WEDGES[caps].sum())
     if not wedges:
         return 0.0
-    # One has_edge probe for every neighbour pair at once: CSR rows are
-    # sorted, so the flattened (row, column) keys are globally sorted
-    # and a single searchsorted resolves all pairs.  The serving hot
-    # path pays this per task — it must stay well under decode cost.
-    edge_keys = (np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-                 * n + indices)
-    keys = np.concatenate(pair_u).astype(np.int64) * n + np.concatenate(pair_v)
-    pos = np.searchsorted(edge_keys, keys).clip(max=len(edge_keys) - 1)
-    closed = int((edge_keys[pos] == keys).sum())
-    return closed / wedges
+    indptr = graph.adjacency.indptr
+    indices = graph.adjacency.indices
+    # Every wedge of every sampled node at once: node s, positions
+    # (i, j) of its capped neighbour list, kept where j < cap(s).
+    starts = indptr[sample][:, None]
+    valid = _PAIR_J < caps[:, None]
+    keys = (np.multiply(indices[(starts + _PAIR_I)[valid]], n,
+                        dtype=np.int64)
+            + indices[(starts + _PAIR_J)[valid]])
+    # One has_edge probe for every pair: CSR rows are sorted, so the
+    # flattened (row, column) keys are globally sorted and a single
+    # searchsorted resolves all pairs.
+    edge_keys = (np.arange(0, n * n, n, dtype=np.int64).repeat(degrees)
+                 + indices)
+    pos = np.minimum(edge_keys.searchsorted(keys), len(edge_keys) - 1)
+    return int(np.count_nonzero(edge_keys[pos] == keys)) / wedges
 
 
 def task_meta_features(task: Task, scenario: str = "") -> Dict[str, float]:
@@ -113,9 +118,13 @@ def task_meta_features(task: Task, scenario: str = "") -> Dict[str, float]:
     n = max(graph.num_nodes, 1)
     m = graph.num_edges
     degrees = graph.degrees()
-    degree_mean = float(degrees.mean()) if n else 0.0
-    degree_std = float(degrees.std()) if n else 0.0
-    degree_max = float(degrees.max()) if len(degrees) else 0.0
+    # ``degrees.mean()`` and ``degrees.std()`` spelled as the reductions
+    # numpy runs for them (float64 pairwise sums), without the two
+    # ``_methods`` wrappers the per-task auto path pays.
+    degree_mean = float(np.add.reduce(degrees, dtype=np.float64)) / n
+    deviation = degrees - degree_mean
+    degree_std = math.sqrt(float(np.add.reduce(deviation * deviation)) / n)
+    degree_max = float(degrees.max())
 
     positives = sum(len(example.positives) + 1 for example in task.support)
     negatives = sum(len(example.negatives) for example in task.support)
@@ -128,7 +137,7 @@ def task_meta_features(task: Task, scenario: str = "") -> Dict[str, float]:
         "degree_mean": degree_mean,
         "degree_std": degree_std,
         "degree_max_ratio": degree_max / n,
-        "clustering_proxy": _clustering_proxy(task),
+        "clustering_proxy": _clustering_proxy(graph, degrees),
         "num_shots": float(task.num_shots),
         "label_balance": positives / labelled if labelled else 0.0,
         "log_num_attributes": float(np.log1p(graph.num_attributes)),

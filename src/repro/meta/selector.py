@@ -22,9 +22,9 @@ The fitted selector persists as a versioned npz artifact mirroring
 :class:`~repro.api.bundle.ModelBundle`: weights under their state-dict
 keys, a JSON header (format tag, version, feature names, method
 vocabulary, standardization moments) under a reserved key, a version
-guard on load.  Training and inference run inside a
-``precision("float64")`` scope so the artifact and its scores are
-identical under every ambient ``REPRO_DTYPE``.
+guard on load.  Training runs inside a ``precision("float64")`` scope
+and scoring on the float64 weights and inputs, so the artifact and its
+scores are identical under every ambient ``REPRO_DTYPE``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from ..nn import MLP, Adam, mse_loss
 from ..nn.backend import precision
 from ..nn.serialize import load_state, save_state
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import Tensor
 from .features import META_FEATURE_NAMES, feature_vector
 
 __all__ = ["MethodSelector", "SELECTOR_FORMAT", "SELECTOR_VERSION",
@@ -82,11 +82,10 @@ class MethodSelector:
     def is_trained(self) -> bool:
         return self._model is not None
 
-    def _input_matrix(self, features: np.ndarray,
-                      method_index: np.ndarray) -> np.ndarray:
-        onehot = np.zeros((len(method_index), len(self.methods)))
-        onehot[np.arange(len(method_index)), method_index] = 1.0
-        standardized = (features - self._mean) / self._std
+    def _input_matrix(self, standardized: np.ndarray,
+                      method_index) -> np.ndarray:
+        """``[standardized features ‖ method one-hot]`` per row."""
+        onehot = np.eye(len(self.methods))[method_index]
         return np.concatenate([standardized, onehot], axis=1)
 
     def fit(self, records: Iterable, epochs: int = 300, lr: float = 5e-3,
@@ -129,7 +128,8 @@ class MethodSelector:
         target = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
 
         with precision("float64"):
-            inputs = self._input_matrix(features, method_index)
+            inputs = self._input_matrix((features - self._mean) / self._std,
+                                        method_index)
             in_dim = inputs.shape[1]
             self._model = MLP([in_dim, self.hidden_dim, 1], rng)
             optimizer = Adam(self._model.parameters(), lr=lr)
@@ -152,28 +152,46 @@ class MethodSelector:
         """Predicted F1 per candidate method (empty when untrained).
 
         ``features`` is a meta-feature dict, or an already-projected
-        canonical vector (the hot path: :meth:`select` projects once
-        for the OOD check and reuses it here).
+        canonical vector (:func:`~repro.meta.features.feature_vector`).
         """
         if not self.is_trained:
             return {}
-        vocab = {name.lower(): name for name in self.methods}
+        vector = (features if isinstance(features, np.ndarray)
+                  else feature_vector(features))
+        return self._score((vector - self._mean) / self._std, candidates)
+
+    def _score(self, standardized: np.ndarray,
+               candidates: Optional[Sequence[str]]) -> Dict[str, float]:
+        """Predicted F1 of each known candidate for one standardized
+        feature vector (all methods when ``candidates`` is ``None``)."""
         if candidates is None:
             chosen = list(self.methods)
         else:
+            vocab = {name.lower(): name for name in self.methods}
             chosen = [vocab[c.lower()] for c in candidates
                       if c.lower() in vocab]
         if not chosen:
             return {}
-        vector = (features if isinstance(features, np.ndarray)
-                  else feature_vector(features))
-        index = np.array([self.methods.index(name) for name in chosen])
-        with precision("float64"):
-            inputs = self._input_matrix(
-                np.repeat(vector[None, :], len(chosen), axis=0), index)
-            with no_grad():
-                predicted = self._model(Tensor(inputs)).data.reshape(-1)
+        inputs = self._input_matrix(
+            np.repeat(standardized[None, :], len(chosen), axis=0),
+            [self.methods.index(name) for name in chosen])
+        predicted = self._forward(inputs).reshape(-1)
         return {name: float(score) for name, score in zip(chosen, predicted)}
+
+    def _forward(self, inputs: np.ndarray) -> np.ndarray:
+        """The MLP's eval forward on plain float64 arrays: the same
+        products, bias adds and ReLUs as ``self._model``, without the
+        autograd tape or a precision scope (the weights are float64)."""
+        model = self._model
+        last = len(model.linears) - 1
+        x = inputs
+        for position, linear in enumerate(model.linears):
+            x = np.matmul(x, linear.weight.data)
+            if linear.bias is not None:
+                x = x + linear.bias.data
+            if position < last:
+                x = np.maximum(x, 0.0)
+        return x
 
     def select(self, features: Dict[str, float],
                candidates: Optional[Sequence[str]] = None) -> Optional[str]:
@@ -185,11 +203,10 @@ class MethodSelector:
         """
         if not self.is_trained:
             return None
-        vector = feature_vector(features)
-        z = np.abs((vector - self._mean) / self._std)
-        if float(z.max()) > self.abstain_z:
+        standardized = (feature_vector(features) - self._mean) / self._std
+        if float(np.abs(standardized).max()) > self.abstain_z:
             return None
-        scored = self.scores(vector, candidates)
+        scored = self._score(standardized, candidates)
         if not scored:
             return None
         return max(scored, key=scored.get)

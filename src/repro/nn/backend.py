@@ -552,8 +552,10 @@ class ArrayBackend:
     def scatter_add_rows(self, source: np.ndarray, indices: np.ndarray,
                          num_rows: int) -> np.ndarray:
         """Rows of ``source`` summed into ``num_rows`` output rows:
-        ``out[indices[e]] += source[e]``, accumulating **in edge order**
-        (``np.add.at``'s order) so backends agree bitwise."""
+        ``out[indices[e]] += source[e]``.  Each output row starts from
+        zero and adds its rows **in edge order** (ascending ``e``), so
+        the result is bitwise-defined whatever kernel a backend runs
+        (save which NaN survives where two different NaNs meet)."""
         raise NotImplementedError
 
     def segment_softmax(self, scores: np.ndarray, segments: np.ndarray,
@@ -630,6 +632,17 @@ class NumpyBackend(ArrayBackend):
 
     def scatter_add_rows(self, source: np.ndarray, indices: np.ndarray,
                          num_rows: int) -> np.ndarray:
+        if source.ndim == 2 and source.dtype in _POOLABLE:
+            # One 0/1 pooling product: COO->CSR keeps the input order
+            # within a row and the CSR kernel adds into zeros in that
+            # order, ``1.0 * x`` being exact — the edge-order sum,
+            # without the unbuffered ``ufunc.at`` loop.  1-D sources
+            # stay on ``np.add.at``, which is faster there.
+            m = source.shape[0]
+            pool = sp.csr_matrix(
+                (np.ones(m, dtype=source.dtype), (indices, np.arange(m))),
+                shape=(num_rows, m))
+            return pool @ source
         out = np.zeros((num_rows,) + source.shape[1:], dtype=source.dtype)
         np.add.at(out, indices, source)
         return out
@@ -646,6 +659,11 @@ class NumpyBackend(ArrayBackend):
 
     def rng(self, seed: int) -> np.random.Generator:
         return np.random.default_rng(seed)
+
+
+#: Source dtypes :meth:`NumpyBackend.scatter_add_rows` pools as a CSR
+#: product (SciPy's sparse kernels have no float16).
+_POOLABLE = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def _canonicalise_operator_indices(operator: sp.csr_matrix,

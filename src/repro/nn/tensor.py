@@ -500,8 +500,8 @@ class Tensor:
     def sigmoid(self) -> "Tensor":
         # Numerically-stable logistic: never exponentiates a positive number.
         x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        out_data = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
         def backward(grad: np.ndarray) -> None:
             Tensor._accumulate(self, grad * out_data * (1.0 - out_data))

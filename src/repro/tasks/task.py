@@ -17,8 +17,10 @@ import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..graph import Graph, node_feature_matrix
+from ..graph import Graph, node_feature_matrix, structural_features
+from ..nn.backend import get_backend
 
 __all__ = ["QueryExample", "Task", "TaskSet"]
 
@@ -110,6 +112,7 @@ class Task:
         self._feature_config: Optional[Tuple[bool, bool]] = None
         self._feature_version: int = -1
         self._encoder_features: Optional[tuple] = None
+        self._attribute_block: Optional[tuple] = None
         self._support_features = None
         self._support_features_key: Optional[tuple] = None
         self._label_stack: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -123,18 +126,26 @@ class Task:
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
+    def _feature_key(self, use_attributes: Optional[bool],
+                     use_structural: Optional[bool]) -> Tuple[bool, bool, int]:
+        """``(use_attributes, use_structural, graph data_version)`` with
+        ``None`` arguments deferring to the task's configuration."""
+        if use_attributes is None:
+            use_attributes = self.use_attributes
+        if use_structural is None:
+            use_structural = self.use_structural
+        return (use_attributes, use_structural,
+                getattr(self.graph, "data_version", 0))
+
     def features(self, use_attributes: Optional[bool] = None,
                  use_structural: Optional[bool] = None) -> np.ndarray:
         """Node feature matrix, computed lazily and cached per configuration.
 
         ``None`` arguments defer to the task's default configuration.
         """
-        if use_attributes is None:
-            use_attributes = self.use_attributes
-        if use_structural is None:
-            use_structural = self.use_structural
+        use_attributes, use_structural, version = self._feature_key(
+            use_attributes, use_structural)
         config = (use_attributes, use_structural)
-        version = getattr(self.graph, "data_version", 0)
         if self._features is None or self._feature_config != config \
                 or self._feature_version != version:
             self._features = node_feature_matrix(
@@ -147,17 +158,50 @@ class Task:
     def encoder_features(self, use_attributes: Optional[bool] = None,
                          use_structural: Optional[bool] = None):
         """:meth:`features` in the storage the encoder's layer 0 projects
-        fastest (:func:`~repro.gnn.encoder.layer0_features`), cached
-        alongside them: a CSR copy when they are mostly zero (bag-of-words
-        keywords), else the dense matrix itself.
-        """
-        from ..gnn.encoder import layer0_features
+        fastest (:func:`~repro.gnn.encoder.layer0_features`), cached per
+        configuration and graph version: a CSR matrix when they are
+        mostly zero (bag-of-words keywords), else the dense matrix.
 
-        features = self.features(use_attributes, use_structural)
-        if self._encoder_features is None or self._encoder_features[0] is not features:
-            self._encoder_features = (features,
-                                      layer0_features(features, features.dtype))
+        With attributes and structural channels both on, the CSR form is
+        assembled as ``[attribute block ‖ structural (n, 2)]`` from a
+        cached CSR of ``graph.attributes`` — bitwise the CSR of the
+        dense concatenation, which is then never built — so a
+        structure-only delta recomputes just the two structural columns.
+        """
+        key = self._feature_key(use_attributes, use_structural)
+        if self._encoder_features is None or self._encoder_features[0] != key:
+            self._encoder_features = (key, self._layer0(*key[:2]))
         return self._encoder_features[1]
+
+    def _layer0(self, use_attributes: bool, use_structural: bool):
+        from ..gnn.encoder import SPARSE_DENSITY, layer0_features
+
+        attributes = self.graph.attributes
+        if not (use_attributes and use_structural and attributes is not None):
+            features = self.features(use_attributes, use_structural)
+            return layer0_features(features, features.dtype)
+        structural = structural_features(self.graph)
+        block = self._attribute_csr()
+        # The dense-vs-CSR rule of layer0_features, over the whole matrix.
+        nonzero = block.nnz + np.count_nonzero(structural)
+        size = attributes.shape[0] * (attributes.shape[1] + 2)
+        if nonzero > SPARSE_DENSITY * size:
+            return np.concatenate([attributes, structural], axis=1)
+        stacked = sp.hstack([block, sp.csr_matrix(structural)], format="csr")
+        return get_backend().to_operator(
+            stacked, dtype=np.result_type(attributes.dtype, structural.dtype))
+
+    def _attribute_csr(self) -> sp.csr_matrix:
+        """CSR copy of ``graph.attributes``, cached on the array's identity
+        and the graph's ``attribute_version`` stamp (bumped by every
+        sanctioned attribute change, in-place patches included)."""
+        attributes = self.graph.attributes
+        stamp = getattr(self.graph, "attribute_version", 0)
+        cached = self._attribute_block
+        if cached is None or cached[0] is not attributes or cached[1] != stamp:
+            cached = (attributes, stamp, sp.csr_matrix(attributes))
+            self._attribute_block = cached
+        return cached[2]
 
     def support_features(self, use_attributes: Optional[bool] = None,
                          use_structural: Optional[bool] = None):
@@ -176,7 +220,7 @@ class Task:
         from ..gnn.encoder import SupportInput, support_indicators
 
         features = self.encoder_features(use_attributes, use_structural)
-        key = (self._feature_config, self._feature_version,
+        key = (self._feature_key(use_attributes, use_structural),
                tuple(id(e) for e in self.support))
         if self._support_features is None or self._support_features_key != key:
             self._support_features = SupportInput(
@@ -226,10 +270,12 @@ class Task:
         context that matches *neither* the pre- nor the post-delta graph.
         The engine's delta path calls this for every known task on the
         mutated graph (:meth:`repro.api.engine.CommunitySearchEngine.apply_delta`);
-        the label stack is graph-independent and survives.  Tasks nobody
-        calls this on are covered anyway: :meth:`features` validates its
-        cache against ``graph.data_version``, which every sanctioned
-        mutation bumps.
+        the label stack is graph-independent and survives, and so does
+        the attribute block of :meth:`encoder_features`, which validates
+        itself against ``graph.attribute_version``.  Tasks nobody calls
+        this on are covered anyway: :meth:`features` and
+        :meth:`encoder_features` validate their caches against
+        ``graph.data_version``, which every sanctioned mutation bumps.
         """
         self._features = None
         self._feature_config = None
@@ -259,6 +305,7 @@ class Task:
         view._feature_config = self._feature_config
         view._feature_version = self._feature_version
         view._encoder_features = self._encoder_features
+        view._attribute_block = self._attribute_block
         return view
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics

@@ -13,6 +13,7 @@ from repro.graph import (
     node_feature_matrix,
     structural_features,
 )
+from repro.nn.backend import precision
 from repro.utils import StopwatchRegistry, Timer, derive_rng, make_rng, spawn_rngs
 
 from helpers import triangle_graph, two_cliques_graph
@@ -43,6 +44,15 @@ class TestStructuralFeatures:
         g = Graph(4, [])
         features = structural_features(g)
         np.testing.assert_allclose(features, 0.0)
+
+    def test_follow_the_graph_dtype_not_the_ambient_policy(self):
+        # A task's features are computed lazily, whatever policy is
+        # active at the time; every call must give the graph's bits.
+        with precision("float64"):
+            g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+            reference = structural_features(g)
+        with precision("float32"):
+            assert structural_features(g).tobytes() == reference.tobytes()
 
 
 class TestNodeFeatureMatrix:

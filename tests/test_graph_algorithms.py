@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -51,6 +53,51 @@ def loop_triangle_counts(graph: Graph) -> np.ndarray:
     return counts
 
 
+def bucket_core_numbers(graph: Graph) -> np.ndarray:
+    """The per-node Batagelj–Zaversnik bucket peel ``core_numbers``
+    replaced, kept as its reference: nodes in degree order, each
+    neighbour of higher core moved one bucket down."""
+    n = graph.num_nodes
+    degree = graph.degrees().copy()
+    bin_starts = np.zeros(int(degree.max(initial=0)) + 2, dtype=np.int64)
+    for d in degree:
+        bin_starts[d + 1] += 1
+    bin_starts = np.cumsum(bin_starts)
+    position = np.zeros(n, dtype=np.int64)
+    order = np.zeros(n, dtype=np.int64)
+    fill = bin_starts[:-1].copy()
+    for v in range(n):
+        position[v] = fill[degree[v]]
+        order[position[v]] = v
+        fill[degree[v]] += 1
+    bin_ptr = bin_starts[:-1].copy()
+    core = degree.copy()
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
+    for i in range(n):
+        v = order[i]
+        for u in indices[indptr[v]:indptr[v + 1]]:
+            if core[u] > core[v]:
+                du, pu = core[u], position[u]
+                pw = bin_ptr[du]
+                w = order[pw]
+                if u != w:
+                    order[pu], order[pw] = w, u
+                    position[u], position[w] = pw, pu
+                bin_ptr[du] += 1
+                core[u] -= 1
+    return core
+
+
+@st.composite
+def sparse_graphs(draw, max_nodes=80):
+    """Graphs from edgeless to dense, isolated nodes included."""
+    n = draw(st.integers(1, max_nodes))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=4 * n))
+    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
 @pytest.fixture(scope="module")
 def random_graph():
     rng = make_rng(31)
@@ -73,6 +120,40 @@ class TestCoreNumbers:
     def test_isolated_node_core_zero(self):
         g = Graph(3, [(0, 1)])
         assert core_numbers(g)[2] == 0
+
+    @given(graph=sparse_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_networkx_and_bucket_peel(self, graph):
+        ours = core_numbers(graph)
+        reference = bucket_core_numbers(graph)
+        assert ours.dtype == reference.dtype
+        np.testing.assert_array_equal(ours, reference)
+        theirs = nx.core_number(to_networkx(graph))
+        np.testing.assert_array_equal(
+            ours, [theirs[node] for node in range(graph.num_nodes)])
+
+    def test_edgeless_graph_is_0core(self):
+        edgeless = Graph(5, np.zeros((0, 2), dtype=np.int64))
+        np.testing.assert_array_equal(core_numbers(edgeless), [0] * 5)
+
+    def test_long_path_no_slower_than_bucket_peel(self):
+        # A path peels one node per end each round: a peel that rescans
+        # all n nodes per round would be quadratic here.
+        n = 20_000
+        path = Graph(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
+
+        def best_of(fn, repeats=3):
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                result = fn(path)
+                times.append(time.perf_counter() - start)
+            return min(times), result
+
+        new_time, ours = best_of(core_numbers)
+        old_time, reference = best_of(bucket_core_numbers, repeats=1)
+        np.testing.assert_array_equal(ours, reference)
+        assert new_time <= old_time
 
     def test_k_core_subgraph(self):
         g = two_cliques_graph(5)  # 5-cliques are 4-cores

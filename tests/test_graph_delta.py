@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from repro.graph import Graph, GraphDelta, ShardedGraph
 from repro.graph.delta import GRAPH_OPS_PREFIX, dirty_frontier
 from repro.nn.backend import index_precision, precision, resolve_dtype, \
     resolve_index_dtype
+from repro.tasks import QueryExample, Task
 from repro.utils import make_rng
 
 
@@ -193,6 +195,94 @@ class TestDensePrecisionWidths:
 # ----------------------------------------------------------------------
 # Sharded differential
 # ----------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# Layer-0 features: patched task vs cold task, bitwise
+# ----------------------------------------------------------------------
+def attributed_task(rng: np.random.Generator, density: float) -> Task:
+    """A task over a random graph whose attributes are bag-of-words at
+    ``density`` (low: the CSR layer-0 path; high: the dense one)."""
+    n = int(rng.integers(8, 48))
+    edges = rng.integers(0, n, size=(int(rng.integers(n, 4 * n)), 2))
+    attributes = (rng.random((n, 30)) < density).astype(resolve_dtype())
+    graph = Graph(n, edges[edges[:, 0] != edges[:, 1]], attributes=attributes)
+    membership = np.zeros(n, dtype=bool)
+    membership[:2] = True
+    return Task(graph, [QueryExample(0, [1], [n - 1], membership)], [])
+
+
+def cold_task(task: Task) -> Task:
+    """``task`` over a new graph built from copies of its arrays."""
+    graph = task.graph
+    copy = Graph(graph.num_nodes, np.array(graph.edges),
+                 attributes=np.array(graph.attributes))
+    return Task(copy, task.support, task.queries)
+
+
+def layer0_equal(a, b) -> bool:
+    if sp.issparse(a) or sp.issparse(b):
+        return (sp.issparse(a) and sp.issparse(b) and a.shape == b.shape
+                and a.indptr.tobytes() == b.indptr.tobytes()
+                and a.indices.tobytes() == b.indices.tobytes()
+                and a.indptr.dtype == b.indptr.dtype
+                and a.indices.dtype == b.indices.dtype
+                and a.data.dtype == b.data.dtype
+                and a.data.tobytes() == b.data.tobytes())
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("index_dtype", ["int32", "int64"])
+class TestLayer0Differential:
+    """``Task.encoder_features`` keeps its attribute block across
+    structure-only deltas and rebuilds it on every attribute change; at
+    each step it must equal a cold task's, byte for byte."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           density=st.sampled_from([0.03, 0.6]))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_patched_features_equal_cold_task(self, index_dtype, seed,
+                                              density):
+        with index_precision(index_dtype):
+            rng = make_rng(seed)
+            task = attributed_task(rng, density)
+            graph = task.graph
+
+            def check(step):
+                assert layer0_equal(task.encoder_features(),
+                                    cold_task(task).encoder_features()), step
+
+            check("initial")
+            graph.apply_delta(GraphDelta(
+                add_edges=rng.integers(0, graph.num_nodes, size=(4, 2)),
+                remove_edges=graph.edges[:2]))
+            check("add/remove edges")
+            rows = np.unique(rng.integers(0, graph.num_nodes, size=3))
+            graph.apply_delta(GraphDelta(update_attributes=(
+                rows, (rng.random((rows.size, graph.num_attributes))
+                       < density).astype(graph.attributes.dtype))))
+            check("update_attributes")
+            graph.apply_delta(random_delta(graph, rng))
+            check("compound delta")
+            graph.set_attributes((rng.random(graph.attributes.shape)
+                                  < density).astype(graph.attributes.dtype))
+            check("set_attributes")
+
+    def test_structure_only_delta_keeps_attribute_block(self, index_dtype):
+        with index_precision(index_dtype):
+            task = attributed_task(make_rng(3), 0.03)
+            graph = task.graph
+            before = task.encoder_features()
+            block = task._attribute_csr()
+            graph.apply_delta(GraphDelta(add_edges=[[0, graph.num_nodes - 1]],
+                                         remove_edges=graph.edges[:1]))
+            assert task.encoder_features() is not before
+            assert task._attribute_csr() is block
+            graph.apply_delta(GraphDelta(update_attributes=(
+                np.array([0]), np.ones((1, graph.num_attributes)))))
+            assert task._attribute_csr() is not block
+
+
 def sharded_pair(rng: np.random.Generator, num_shards: int):
     n = int(rng.integers(20, 60))
     m = int(rng.integers(2 * n, 5 * n))

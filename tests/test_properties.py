@@ -19,6 +19,7 @@ from repro.core import make_aggregator
 from repro.eval import binary_metrics
 from repro.graph import Graph, core_numbers
 from repro.nn import Tensor
+from repro.nn.backend import get_backend
 from repro.nn import functional as F
 from repro.utils import make_rng
 
@@ -68,6 +69,47 @@ class TestAutogradProperties:
         a = (Tensor(x) + Tensor(y)).data
         b = (Tensor(y) + Tensor(x)).data
         np.testing.assert_allclose(a, b)
+
+
+@st.composite
+def scatter_problems(draw):
+    """``(source, indices, num_rows)``: 1-D or 2-D float32/float64 rows
+    holding NaN, ±inf and -0 among finite values, int32/int64 indices in
+    any order with duplicates, ``num_rows`` possibly past the largest
+    index, and empty sources."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    count = draw(st.integers(0, 30))
+    num_rows = draw(st.integers(0 if count == 0 else 1, 8))
+    shape = (count,) if draw(st.booleans()) else (count, draw(st.integers(0, 4)))
+    special = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0])
+    source = draw(arrays(dtype, shape, elements=st.one_of(
+        special, st.floats(-1e6, 1e6, width=32))))
+    indices = draw(arrays(index_dtype, (count,),
+                          elements=st.integers(0, max(num_rows - 1, 0))))
+    return source, indices, num_rows
+
+
+class TestScatterAddRows:
+    """The backend's edge-path scatter (the ⊕ pooling, GAT's message
+    sum, gather backward) is the edge-order sum ``np.add.at`` defines,
+    bit for bit, whichever kernel runs it.  NaN entries must be NaN in
+    the same places; which NaN's sign and payload survive where two
+    different NaNs meet is the hardware's pick, not part of the
+    contract."""
+
+    @given(problem=scatter_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equals_add_at(self, problem):
+        source, indices, num_rows = problem
+        expected = np.zeros((num_rows,) + source.shape[1:], dtype=source.dtype)
+        with np.errstate(invalid="ignore"):       # inf + -inf
+            np.add.at(expected, indices, source)
+            out = get_backend().scatter_add_rows(source, indices, num_rows)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(out), nan)
+        assert out[~nan].tobytes() == expected[~nan].tobytes()
 
 
 class TestAggregatorProperties:

@@ -252,6 +252,26 @@ class TestElementwiseGradients:
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
         assert np.all(np.isfinite(out.data))
 
+    @given(data=st.data(), dtype=st.sampled_from(["float32", "float64"]))
+    @settings(max_examples=150, deadline=None)
+    def test_sigmoid_bitwise_equals_three_exp_formula(self, data, dtype):
+        # The one-exp form must reproduce the former
+        # where(x >= 0, 1/(1+e), e/(1+e)) with e = exp(-|x|), which
+        # evaluated e three times, bit for bit at either width.
+        width = 32 if dtype == "float32" else 64
+        values = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan,
+                                       101.0, -101.0, 1e4, -1e4]),
+                      st.floats(width=width)),
+            min_size=1, max_size=40))
+        x = np.array(values, dtype=dtype)
+        e = np.exp(-np.abs(x))
+        expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                            e / (1.0 + np.exp(-np.abs(x))))
+        out = Tensor(x).sigmoid().data
+        assert out.dtype == np.dtype(dtype) == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
     def test_tanh(self):
         gradcheck(lambda x: x.tanh(), self.a)
 
