@@ -44,7 +44,7 @@ import numpy as np
 
 from ..core.infer import validate_queries
 from ..core.model import CGNP
-from ..graph.delta import DeltaReport, GraphDelta, dirty_frontier
+from ..graph.delta import DeltaReport, GraphDelta, dirty_frontier_mask
 from ..graph.features import feature_dimension
 from ..graph.shard import ShardedGraph, graph_memory_profile
 from ..nn.backend import get_backend, resolve_context_storage
@@ -810,8 +810,8 @@ class CommunitySearchEngine:
                 return report
             frontier: Optional[np.ndarray] = None
             if repair and not report.nodes_added:
-                frontier = dirty_frontier(graph, report,
-                                          self.model.config.num_layers)
+                frontier = dirty_frontier_mask(graph, report,
+                                               self.model.config.num_layers)
             # Every task the engine knows about on this graph: cached
             # contexts, the active session and the delta's own task.
             known: Dict[int, Task] = {id(t): t for t in self._contexts}
@@ -828,8 +828,8 @@ class CommunitySearchEngine:
                 candidate.invalidate_feature_caches()
                 if candidate not in self._contexts:
                     continue
-                if frontier is not None and not np.intersect1d(
-                        self._support_nodes(candidate), frontier).size:
+                if frontier is not None and not frontier[
+                        self._support_nodes(candidate)].any():
                     continue
                 self._pop_context(candidate)
                 self._stats.contexts_dirtied += 1
@@ -837,11 +837,10 @@ class CommunitySearchEngine:
 
     @staticmethod
     def _support_nodes(task: Task) -> np.ndarray:
-        """Sorted labelled node ids of a task's support set — the nodes
-        whose encoder view feeds the context aggregation."""
-        return np.unique(np.concatenate(
-            [example.labelled_nodes() for example in task.support]
-        ).astype(np.int64))
+        """Labelled node ids of a task's support set (repeats allowed) —
+        the nodes whose encoder view feeds the context aggregation."""
+        return np.concatenate(
+            [example.labelled_nodes() for example in task.support])
 
     # ------------------------------------------------------------------
     # Introspection

@@ -28,6 +28,7 @@ __all__ = [
     "k_core_subgraph",
     "connected_k_core_containing",
     "triangle_counts",
+    "patch_triangle_counts",
     "local_clustering_coefficients",
     "edge_support",
     "trussness",
@@ -147,22 +148,82 @@ def connected_k_core_containing(graph: Graph, k: int, seed: int) -> Optional[Set
 # ----------------------------------------------------------------------
 # Triangles & clustering
 # ----------------------------------------------------------------------
+#: :class:`~repro.graph.graph.OpsCache` key of the memoised triangle
+#: counts.  A structural delta patches the entry in place of dropping it
+#: (:func:`patch_triangle_counts`, called from ``repro.graph.delta``);
+#: ``set_attributes`` and ``apply_delta(repair=False)`` drop it with the
+#: rest of the cache.
+TRIANGLES_KEY = "graph.triangle_counts"
+
+
 def triangle_counts(graph: Graph) -> np.ndarray:
-    """Number of triangles through each node.
+    """Number of triangles through each node (int64, read-only).
 
     ``(A·A)[v, w]`` counts the common neighbours of ``v`` and ``w``;
     masking it with ``A`` keeps adjacent pairs only, so row ``v`` of
     ``(A·A) ∘ A`` sums to twice the triangles through ``v``: triangle
     ``{v, a, b}`` is counted at ``(v, a)`` and at ``(v, b)``.  The
     products run on an integer 0/1 copy of the adjacency, so the counts
-    are exact.
+    are exact.  The counts are cached on the graph and kept current
+    across deltas.
     """
+    return graph.cached_ops(TRIANGLES_KEY, _count_triangles)
+
+
+def _count_triangles(graph: Graph) -> np.ndarray:
     adjacency = graph.adjacency
     ones = sp.csr_matrix(
         (np.ones(adjacency.nnz, dtype=np.int64), adjacency.indices,
          adjacency.indptr), shape=adjacency.shape)
     closed = (ones @ ones).multiply(ones)
-    return np.asarray(closed.sum(axis=1), dtype=np.int64).ravel() // 2
+    counts = np.asarray(closed.sum(axis=1), dtype=np.int64).ravel() // 2
+    counts.setflags(write=False)
+    return counts
+
+
+def patch_triangle_counts(counts: np.ndarray, adjacency: sp.csr_matrix,
+                          removed: np.ndarray, added: np.ndarray,
+                          num_nodes: int) -> np.ndarray:
+    """Triangle counts after a delta, from the counts before it.
+
+    ``adjacency`` is the structure the ``counts`` describe; ``removed``
+    (all present in it) and ``added`` (all absent once the removals are
+    done) are canonical edges, and ``num_nodes`` may exceed the old node
+    count (appended nodes start with no triangles).  The delta replays
+    one edge at a time — removals first — over the endpoints'
+    neighbour sets: an edge ``{u, v}`` closes or opens one triangle per
+    common neighbour ``w``, so ``u`` and ``v`` move by ``|N(u) ∩ N(v)|``
+    and each ``w`` by one.  Integer-exact: equal to a cold recount.
+    """
+    patched = np.zeros(num_nodes, dtype=np.int64)
+    patched[:counts.size] = counts
+    indptr, indices = adjacency.indptr, adjacency.indices
+    neighbours: Dict[int, Set[int]] = {}
+    for node in np.unique(np.concatenate([removed.ravel(),
+                                          added.ravel()])).tolist():
+        neighbours[node] = (set(indices[indptr[node]:indptr[node + 1]]
+                                .tolist())
+                            if node < adjacency.shape[0] else set())
+    change: Dict[int, int] = collections.defaultdict(int)
+    for sign, edges in ((-1, removed), (1, added)):
+        for u, v in edges.tolist():
+            if sign < 0:
+                neighbours[u].discard(v)
+                neighbours[v].discard(u)
+            common = neighbours[u] & neighbours[v]
+            change[u] += sign * len(common)
+            change[v] += sign * len(common)
+            for w in common:
+                change[w] += sign
+            if sign > 0:
+                neighbours[u].add(v)
+                neighbours[v].add(u)
+    if change:
+        nodes = np.fromiter(change.keys(), dtype=np.int64, count=len(change))
+        patched[nodes] += np.fromiter(change.values(), dtype=np.int64,
+                                      count=len(change))
+    patched.setflags(write=False)
+    return patched
 
 
 def local_clustering_coefficients(graph: Graph, dtype=None) -> np.ndarray:

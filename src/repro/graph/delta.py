@@ -42,14 +42,16 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..nn.backend import index_dtype_for
+from .algorithms import TRIANGLES_KEY, patch_triangle_counts
 
-__all__ = ["GraphDelta", "DeltaReport", "apply_graph_delta", "dirty_frontier"]
+__all__ = ["GraphDelta", "DeltaReport", "apply_graph_delta", "dirty_frontier",
+           "dirty_frontier_mask"]
 
 #: The cache-key family :func:`repro.gnn.conv.graph_ops` memoises under
 #: (kept as a literal here — importing ``repro.gnn.conv`` from the graph
@@ -142,9 +144,7 @@ class DeltaReport:
     effective edge changes plus appended nodes) — the seeds of the
     k-hop dirty frontier the engine expands; ``feature_nodes`` are the
     attribute-updated rows.  ``removed_edges`` keeps the effectively
-    removed pairs so :func:`dirty_frontier` can expand over the *union*
-    of the old and new adjacency (influence used to flow through a
-    removed edge too).
+    removed pairs (the cached triangle counts are patched from them).
     """
 
     nodes_added: int = 0
@@ -184,6 +184,13 @@ def _edge_keys(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     membership and insertion positions resolve with one searchsorted.
     """
     return edges[:, 0].astype(np.int64) * np.int64(num_nodes) + edges[:, 1]
+
+
+def _directed_keys(edges: np.ndarray, num_nodes: np.int64) -> np.ndarray:
+    """``row * n + col`` keys of both orientations of ``edges`` — the
+    adjacency entries the edges occupy."""
+    return np.concatenate([edges[:, 0] * num_nodes + edges[:, 1],
+                           edges[:, 1] * num_nodes + edges[:, 0]])
 
 
 def _patch_edge_list(edges: np.ndarray, add: np.ndarray, remove: np.ndarray,
@@ -249,80 +256,77 @@ def _patch_edge_list(edges: np.ndarray, add: np.ndarray, remove: np.ndarray,
 # ----------------------------------------------------------------------
 # CSR row splicing
 # ----------------------------------------------------------------------
+def _row_entries(indptr: np.ndarray, rows: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(owner, positions)`` of every stored entry of ``rows`` (int64,
+    all inside the matrix), in row order: one gather over ``indptr``
+    with ``np.repeat`` offsets, no per-row slicing."""
+    starts = indptr[rows].astype(np.int64)
+    lengths = indptr[rows + 1].astype(np.int64) - starts
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return (np.repeat(rows, lengths),
+            offsets + np.arange(offsets.size, dtype=np.int64))
+
+
 def _splice_rows(matrix: sp.csr_matrix, num_rows: int, num_cols: int,
-                 rebuild: Dict[int, Tuple[np.ndarray, np.ndarray]],
-                 revalue: Dict[int, np.ndarray],
+                 rebuild: Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray],
+                 revalue: Optional[Tuple[np.ndarray, np.ndarray]],
                  index_dtype: np.dtype) -> sp.csr_matrix:
     """A new CSR with some rows structurally replaced and some re-valued.
 
-    ``rebuild`` maps row id → ``(cols, vals)`` (cols sorted ascending);
-    ``revalue`` maps row id → new values over the row's *existing*
-    structure.  Rows beyond the input's row count are treated as empty
-    (the appended-node case).  Untouched row segments are block-copied;
-    the result's structure arrays carry ``index_dtype`` (widened only if
-    the new shape/nnz genuinely overflows it, mirroring
+    ``rebuild`` is ``(rows, counts, cols, vals)``: sorted unique row ids,
+    each row's new entry count, and the rows' entries concatenated in
+    row order (cols ascending within a row).  ``revalue`` is ``(rows,
+    vals)``: rows outside ``rebuild`` that keep their structure, with
+    new values for their existing entries concatenated in row order.
+    Rows beyond the input's row count are treated as empty (the
+    appended-node case).  Each run of untouched rows is one block copy;
+    the rebuilt and re-valued entries land by one scatter each.  The
+    result's structure arrays carry ``index_dtype`` (widened only if the
+    new shape/nnz genuinely overflows it, mirroring
     ``_canonicalise_operator_indices``).
     """
+    rows, counts, cols, vals = rebuild
     old_indptr = matrix.indptr.astype(np.int64, copy=False)
     old_rows = matrix.shape[0]
 
-    counts = np.zeros(num_rows, dtype=np.int64)
-    counts[:old_rows] = np.diff(old_indptr)
-    for row, (cols, _) in rebuild.items():
-        counts[row] = cols.size
+    lengths = np.zeros(num_rows, dtype=np.int64)
+    lengths[:old_rows] = np.diff(old_indptr)
+    lengths[rows] = counts
     new_indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_indptr[1:])
+    np.cumsum(lengths, out=new_indptr[1:])
     nnz = int(new_indptr[-1])
 
     width = index_dtype_for(max(num_rows, num_cols, nnz), index_dtype)
     new_indices = np.empty(nnz, dtype=width)
     new_data = np.empty(nnz, dtype=matrix.data.dtype)
 
-    # Copy the untouched spans between rebuilt rows in contiguous blocks.
-    boundary_rows = sorted(rebuild)
-    src_row = 0
-    for row in boundary_rows + [num_rows]:
-        span_hi = min(row, old_rows)
-        if src_row < span_hi:
-            src_lo, src_hi = int(old_indptr[src_row]), int(old_indptr[span_hi])
-            dst_lo = int(new_indptr[src_row])
-            new_indices[dst_lo:dst_lo + (src_hi - src_lo)] = \
-                matrix.indices[src_lo:src_hi]
-            new_data[dst_lo:dst_lo + (src_hi - src_lo)] = \
-                matrix.data[src_lo:src_hi]
-        if row < num_rows:
-            cols, vals = rebuild[row]
-            lo, hi = int(new_indptr[row]), int(new_indptr[row + 1])
-            new_indices[lo:hi] = cols
-            new_data[lo:hi] = vals
-        src_row = row + 1
+    # Copy the untouched runs between rebuilt rows in contiguous blocks.
+    run_lo = np.concatenate([[0], rows + 1])
+    run_hi = np.minimum(np.append(rows, num_rows), old_rows)
+    live = run_lo < run_hi
+    run_lo, run_hi = run_lo[live], run_hi[live]
+    for src_lo, src_hi, dst_lo in zip(old_indptr[run_lo].tolist(),
+                                      old_indptr[run_hi].tolist(),
+                                      new_indptr[run_lo].tolist()):
+        dst_hi = dst_lo + (src_hi - src_lo)
+        new_indices[dst_lo:dst_hi] = matrix.indices[src_lo:src_hi]
+        new_data[dst_lo:dst_hi] = matrix.data[src_lo:src_hi]
 
-    for row, vals in revalue.items():
-        lo, hi = int(new_indptr[row]), int(new_indptr[row + 1])
-        new_data[lo:hi] = vals
+    if rows.size:
+        _, positions = _row_entries(new_indptr, rows)
+        new_indices[positions] = cols
+        new_data[positions] = vals
+    if revalue is not None and revalue[0].size:
+        _, positions = _row_entries(new_indptr, revalue[0])
+        new_data[positions] = revalue[1]
 
     shell = sp.csr_matrix((num_rows, num_cols), dtype=matrix.data.dtype)
     shell.data = new_data
     shell.indices = new_indices
     shell.indptr = new_indptr.astype(width, copy=False)
     return shell
-
-
-def _sorted_insert(values: np.ndarray, value: int) -> np.ndarray:
-    """``values`` (sorted) with ``value`` spliced into sorted position —
-    what ``np.insert`` computes, minus its per-call argument-normalising
-    overhead (this runs once per repaired row)."""
-    position = int(np.searchsorted(values, value))
-    out = np.empty(values.size + 1, dtype=values.dtype)
-    out[:position] = values[:position]
-    out[position] = value
-    out[position + 1:] = values[position:]
-    return out
-
-
-def _row_slice(matrix: sp.csr_matrix, row: int) -> np.ndarray:
-    lo, hi = int(matrix.indptr[row]), int(matrix.indptr[row + 1])
-    return matrix.indices[lo:hi]
 
 
 # ----------------------------------------------------------------------
@@ -351,15 +355,17 @@ def _inv_degrees(adjacency: sp.csr_matrix, dtype: np.dtype) -> np.ndarray:
 
 
 def _repair_graph_ops(graph, ops,
-                      structure_nodes: np.ndarray) -> Tuple[object, int]:
+                      structure: np.ndarray) -> Tuple[object, int]:
     """Rebuild one cached :class:`~repro.gnn.conv.GraphOps` family from a
     *patched* adjacency, rewriting only degree-affected rows.
 
-    ``structure_nodes`` are the degree-changed rows (old ids plus any
-    appended ids); value-only rows — rows holding an entry in a
-    degree-changed *column* — are discovered from the new adjacency
+    ``structure`` holds the degree-changed rows (sorted unique int64: old
+    ids plus any appended ids); value-only rows — rows holding an entry
+    in a degree-changed *column* — are discovered from the new adjacency
     (symmetric, so the old partners of removed edges are the rebuilt
-    rows themselves and need no lookup in the old structure).
+    rows themselves and need no lookup in the old structure).  Every
+    row set is gathered array-at-a-time, and every value is one
+    elementwise product per operator over the cold build's operands.
 
     Returns ``(repaired_ops, rows_rewritten)``.
     """
@@ -367,64 +373,69 @@ def _repair_graph_ops(graph, ops,
 
     adjacency = graph.adjacency
     n = graph.num_nodes
+    n64 = np.int64(n)
     dtype = ops.dtype
     index_dtype = ops.index_dtype
 
-    structure = np.unique(structure_nodes.astype(np.int64))
+    owner, positions = _row_entries(adjacency.indptr, structure)
+    neighbors = adjacency.indices[positions].astype(np.int64)
     # Rows that keep their structure but hold an entry in a
     # degree-changed column (the neighbours of the endpoints).
-    if structure.size:
-        partner_blocks = [_row_slice(adjacency, int(r)) for r in structure]
-        partners = (np.unique(np.concatenate(partner_blocks).astype(np.int64))
-                    if partner_blocks else np.zeros(0, dtype=np.int64))
-        value_only = np.setdiff1d(partners, structure, assume_unique=True)
-    else:
-        value_only = np.zeros(0, dtype=np.int64)
+    value_only = np.setdiff1d(np.unique(neighbors), structure,
+                              assume_unique=True)
+    _, value_positions = _row_entries(adjacency.indptr, value_only)
+    value_neighbors = adjacency.indices[value_positions].astype(np.int64)
+    counts = (adjacency.indptr[structure + 1].astype(np.int64)
+              - adjacency.indptr[structure])
 
     inv_sqrt = _inv_sqrt_degrees(adjacency, dtype)
     inv = _inv_degrees(adjacency, dtype)
 
     # -- norm_adj: D̂^{-1/2}(A+I)D̂^{-1/2}; symmetric, so its transpose
-    #    aliases it.  Structure rows gain/lose an entry (self-loop kept
-    #    in sorted position); value rows rescale against the endpoint's
-    #    new inverse-sqrt degree.
-    norm_rebuild: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    sage_rebuild: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    sage_t_rebuild: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    if structure.size:
-        # row_norm_adj rows come from the *actual* scipy product on a
-        # row-submatrix: ``diags @ csr`` emits each row's columns in its
-        # own (descending, linked-list) order, and that order is
-        # row-local — so the sliced product reproduces the cold build's
-        # per-row layout bitwise, whatever scipy's emission order is.
-        sub = adjacency[structure].astype(dtype)
-        sage_product = sp.diags(inv[structure]) @ sub
-    for position, row in enumerate(structure.tolist()):
-        neighbors = _row_slice(adjacency, row).astype(np.int64)
-        looped = _sorted_insert(neighbors, row)
-        norm_rebuild[row] = (looped, inv_sqrt[row] * inv_sqrt[looped])
-        lo = int(sage_product.indptr[position])
-        hi = int(sage_product.indptr[position + 1])
-        sage_rebuild[row] = (sage_product.indices[lo:hi].astype(np.int64),
-                             sage_product.data[lo:hi])
-        # (D^{-1}A)ᵀ row j holds entries for i ∈ N(j) valued 1/d_i —
-        # same structure as row j (undirected), column-indexed values
-        # (the CSC→CSR transpose conversion sorts columns ascending).
-        sage_t_rebuild[row] = (neighbors, inv[neighbors])
+    #    aliases it.  Structure rows gain/lose an entry, the self-loop
+    #    landing in sorted position by one sort of ``row * n + col``
+    #    keys; value rows rescale against the endpoint's new
+    #    inverse-sqrt degree over their unchanged (self-looped) entries.
+    keys = np.concatenate([owner * n64 + neighbors,
+                           structure * n64 + structure])
+    keys.sort()
+    looped_owner, looped = np.divmod(keys, n64)
+    norm_rebuild = (structure, counts + 1, looped,
+                    inv_sqrt[looped_owner] * inv_sqrt[looped])
+    norm_owner, norm_positions = _row_entries(ops.norm_adj.indptr, value_only)
+    norm_cols = ops.norm_adj.indices[norm_positions]
+    norm_revalue = (value_only, inv_sqrt[norm_owner] * inv_sqrt[norm_cols])
 
-    norm_revalue: Dict[int, np.ndarray] = {}
-    sage_t_revalue: Dict[int, np.ndarray] = {}
-    for row in value_only.tolist():
-        neighbors = _row_slice(adjacency, row).astype(np.int64)
-        looped = _sorted_insert(neighbors, row)
-        norm_revalue[row] = inv_sqrt[row] * inv_sqrt[looped]
-        # D^{-1}A rows valued 1/d_row are untouched when d_row did not
-        # change, but the transpose's values are the *column* degrees.
-        sage_t_revalue[row] = inv[neighbors]
+    # -- row_norm_adj: rows come from the *actual* scipy product on a
+    #    row-submatrix: ``diags @ csr`` emits each row's columns in its
+    #    own (linked-list) order, and that order is row-local — so the
+    #    sliced product reproduces the cold build's per-row layout
+    #    bitwise, whatever scipy's emission order is.
+    sub_indptr = np.zeros(structure.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=sub_indptr[1:])
+    sub = sp.csr_matrix((np.ones(neighbors.size, dtype=dtype), neighbors,
+                         sub_indptr), shape=(structure.size, n))
+    # (``sp.diags(v) @ csr`` multiplies through ``diags(v).tocsr()``;
+    # the diagonal factor is built as that CSR directly.)
+    rank = np.arange(structure.size + 1)
+    scale = sp.csr_matrix((inv[structure], rank[:-1], rank),
+                          shape=(structure.size, structure.size))
+    sage_product = scale @ sub
+    sage_rebuild = (structure, np.diff(sage_product.indptr).astype(np.int64),
+                    sage_product.indices, sage_product.data)
+
+    # -- row_norm_adj_t: (D^{-1}A)ᵀ row j holds entries for i ∈ N(j)
+    #    valued 1/d_i — same structure as row j (undirected),
+    #    column-indexed values (the CSC→CSR transpose conversion sorts
+    #    columns ascending).  D^{-1}A rows of value-only rows are
+    #    untouched (d_row did not change), but the transpose's values are
+    #    the *column* degrees.
+    sage_t_rebuild = (structure, counts, neighbors, inv[neighbors])
+    sage_t_revalue = (value_only, inv[value_neighbors])
 
     norm_adj = _splice_rows(ops.norm_adj, n, n, norm_rebuild, norm_revalue,
                             index_dtype)
-    row_norm_adj = _splice_rows(ops.row_norm_adj, n, n, sage_rebuild, {},
+    row_norm_adj = _splice_rows(ops.row_norm_adj, n, n, sage_rebuild, None,
                                 index_dtype)
     row_norm_adj_t = _splice_rows(ops.row_norm_adj_t, n, n, sage_t_rebuild,
                                   sage_t_revalue, index_dtype)
@@ -528,35 +539,28 @@ def apply_graph_delta(graph, delta: GraphDelta, repair: bool = True
         return report    # everything was a no-op
 
     # ---- commit the structural patch ------------------------------------
+    old_adjacency = graph.adjacency
     if report.structural:
-        changed = np.unique(np.concatenate(
-            [added.ravel(), removed.ravel()]).astype(np.int64))
-        rebuild: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        adjacency = graph.adjacency
-        new_partner: Dict[int, List[int]] = {}
-        for u, v in added.tolist():
-            new_partner.setdefault(u, []).append(v)
-            new_partner.setdefault(v, []).append(u)
-        gone_partner: Dict[int, List[int]] = {}
-        for u, v in removed.tolist():
-            gone_partner.setdefault(u, []).append(v)
-            gone_partner.setdefault(v, []).append(u)
-        ones_dtype = adjacency.dtype
-        for row in changed.tolist():
-            old_cols = (_row_slice(adjacency, row).astype(np.int64)
-                        if row < old_n else np.zeros(0, dtype=np.int64))
-            cols = old_cols
-            if row in gone_partner:
-                cols = np.setdiff1d(cols, np.asarray(gone_partner[row],
-                                                     dtype=np.int64),
-                                    assume_unique=False)
-            if row in new_partner:
-                cols = np.union1d(cols, np.asarray(new_partner[row],
-                                                   dtype=np.int64))
-            rebuild[row] = (cols, np.ones(cols.size, dtype=ones_dtype))
+        # Each changed row's new columns, array-at-a-time: gather the old
+        # rows as ``row * n + col`` keys (sorted: rows ascend, columns
+        # ascend within a row), drop the removed pairs (all present),
+        # merge in the added ones (all absent) and sort once.
+        changed = report.structure_nodes
+        n64 = np.int64(new_n)
+        owner, positions = _row_entries(old_adjacency.indptr,
+                                        changed[changed < old_n])
+        keys = owner * n64 + old_adjacency.indices[positions]
+        if removed.shape[0]:
+            keys = np.delete(keys, np.searchsorted(
+                keys, _directed_keys(removed, n64)))
+        keys = np.sort(np.concatenate([keys, _directed_keys(added, n64)]))
+        rows, cols = np.divmod(keys, n64)
+        counts = np.diff(np.append(np.searchsorted(rows, changed), rows.size))
         new_adjacency = _splice_rows(
-            adjacency, new_n, new_n, rebuild, {},
-            index_dtype_for(new_n, adjacency.indices.dtype))
+            old_adjacency, new_n, new_n,
+            (changed, counts, cols, np.ones(cols.size,
+                                            dtype=old_adjacency.dtype)),
+            None, index_dtype_for(new_n, old_adjacency.indices.dtype))
 
         graph.num_nodes = new_n
         graph._edges = new_edges.astype(index_dtype_for(new_n), copy=False)
@@ -577,13 +581,18 @@ def apply_graph_delta(graph, delta: GraphDelta, repair: bool = True
 
     # ---- repair (or drop) the cached operators ---------------------------
     if report.structural:
-        _repair_cache(graph, report, repair)
+        _repair_cache(graph, report, repair, old_adjacency, added)
     return report
 
 
-def _repair_cache(graph, report: DeltaReport, repair: bool) -> None:
+def _repair_cache(graph, report: DeltaReport, repair: bool,
+                  old_adjacency: sp.csr_matrix, added: np.ndarray) -> None:
     """Walk the graph's :class:`~repro.graph.graph.OpsCache` after a
-    structural patch: repair what we understand, drop what we don't."""
+    structural patch: repair what we understand, drop what we don't.
+
+    ``old_adjacency`` is the pre-delta structure and ``added`` the
+    effective additions — the triangle-count patch replays the delta
+    edge by edge from the old neighbourhoods."""
     cache = graph.__dict__.get("_ops_cache")
     if not cache:
         return
@@ -599,6 +608,10 @@ def _repair_cache(graph, report: DeltaReport, repair: bool) -> None:
             cache[key] = repaired
             report.rows_repaired += rows
             report.ops_repaired += 1
+        elif key == TRIANGLES_KEY:
+            cache[key] = patch_triangle_counts(
+                cache[key], old_adjacency, report.removed_edges, added,
+                graph.num_nodes)
         elif _SHARD_KEY.match(key) and sharded_repair is not None:
             continue    # handled at shard granularity below
         else:
@@ -613,6 +626,33 @@ def _repair_cache(graph, report: DeltaReport, repair: bool) -> None:
 # ----------------------------------------------------------------------
 # Dirty frontier
 # ----------------------------------------------------------------------
+def dirty_frontier_mask(graph, report: DeltaReport, hops: int) -> np.ndarray:
+    """:func:`dirty_frontier` as a boolean mask over the graph's nodes.
+
+    A level-synchronous BFS: each hop gathers the rows of the nodes the
+    previous hop reached (one gather over ``indptr``) and marks the ones
+    not yet reached.  The walk runs over the patched adjacency alone, yet
+    covers the union of the old and new structure: both endpoints of a
+    removed edge are seeds, so a removed edge can only lead from one
+    reached node to another.
+    """
+    if hops < 0:
+        raise ValueError(f"hops must be >= 0, got {hops}")
+    reached = np.zeros(graph.num_nodes, dtype=bool)
+    layer = np.union1d(report.structure_nodes, report.feature_nodes)
+    reached[layer] = True
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
+    for _ in range(hops):
+        if not layer.size:
+            break
+        _, positions = _row_entries(indptr, layer)
+        grown = indices[positions]
+        grown = grown[~reached[grown]]
+        reached[grown] = True
+        layer = np.unique(grown)
+    return reached
+
+
 def dirty_frontier(graph, report: DeltaReport, hops: int) -> np.ndarray:
     """Node ids whose k-layer encoder output a delta may have changed.
 
@@ -621,27 +661,5 @@ def dirty_frontier(graph, report: DeltaReport, hops: int) -> np.ndarray:
     structure (removed edges still conduct influence — a node that was
     within k hops of a removed edge saw it).  Sorted int64 ids.
     """
-    if hops < 0:
-        raise ValueError(f"hops must be >= 0, got {hops}")
-    seeds = np.union1d(report.structure_nodes, report.feature_nodes)
-    if seeds.size == 0:
-        return seeds.astype(np.int64)
-    removed = report.removed_edges
-    extra: Dict[int, List[int]] = {}
-    for u, v in removed.tolist():
-        extra.setdefault(u, []).append(v)
-        extra.setdefault(v, []).append(u)
-    frontier = seeds.astype(np.int64)
-    for _ in range(hops):
-        blocks = [frontier]
-        for node in frontier.tolist():
-            if node < graph.num_nodes:
-                blocks.append(_row_slice(graph.adjacency, node)
-                              .astype(np.int64))
-            if node in extra:
-                blocks.append(np.asarray(extra[node], dtype=np.int64))
-        grown = np.unique(np.concatenate(blocks))
-        if grown.size == frontier.size:
-            break
-        frontier = grown
-    return frontier
+    return np.flatnonzero(dirty_frontier_mask(graph, report, hops)).astype(
+        np.int64, copy=False)

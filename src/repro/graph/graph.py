@@ -186,7 +186,13 @@ class Graph(OpsCache):
     # ------------------------------------------------------------------
     @staticmethod
     def _canonicalize_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
-        """Drop self-loops/duplicates and orient every edge as (min, max)."""
+        """Drop self-loops/duplicates and orient every edge as (min, max).
+
+        Rows come out sorted lexicographically — ``np.unique(axis=0)``
+        order — deduplicated on the scalar key ``u * n + v``, whose
+        ascending order is exactly that order (``repro.graph.delta``
+        searches the edge list with the same key).
+        """
         if edges.size == 0:
             return np.zeros((0, 2), dtype=edges.dtype)
         if edges.min() < 0 or edges.max() >= num_nodes:
@@ -194,10 +200,11 @@ class Graph(OpsCache):
         low = np.minimum(edges[:, 0], edges[:, 1])
         high = np.maximum(edges[:, 0], edges[:, 1])
         keep = low != high
-        canonical = np.stack([low[keep], high[keep]], axis=1)
-        if canonical.size == 0:
-            return np.zeros((0, 2), dtype=edges.dtype)
-        return np.unique(canonical, axis=0)
+        n = np.int64(num_nodes)
+        keys = np.unique(low[keep].astype(np.int64) * n + high[keep])
+        canonical = np.empty((keys.size, 2), dtype=edges.dtype)
+        canonical[:, 0], canonical[:, 1] = np.divmod(keys, n)
+        return canonical
 
     @staticmethod
     def _build_adjacency(edges: np.ndarray, num_nodes: int) -> sp.csr_matrix:

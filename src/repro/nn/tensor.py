@@ -144,7 +144,7 @@ class Tensor:
             target = resolve_dtype(dtype)
             if array.dtype != target:
                 array = array.astype(target)
-        elif not np.issubdtype(array.dtype, np.floating):
+        elif array.dtype.kind != "f":
             array = array.astype(resolve_dtype())
         elif not isinstance(data, np.ndarray):
             # Python scalars/lists adopt the policy dtype (np.asarray

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import Graph, from_edge_list, from_networkx, to_networkx
 
@@ -49,6 +51,58 @@ class TestConstruction:
     def test_community_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 1)], communities=[[0, 9]])
+
+
+def unique_rows_canonical(edges: np.ndarray) -> np.ndarray:
+    """The ``np.unique(axis=0)`` canonicalisation ``Graph`` used before
+    it deduplicated on the scalar key ``u * n + v`` — kept as the
+    reference the key version must match byte for byte."""
+    if edges.size == 0:
+        return np.zeros((0, 2), dtype=edges.dtype)
+    low = np.minimum(edges[:, 0], edges[:, 1])
+    high = np.maximum(edges[:, 0], edges[:, 1])
+    keep = low != high
+    canonical = np.stack([low[keep], high[keep]], axis=1)
+    if canonical.size == 0:
+        return np.zeros((0, 2), dtype=edges.dtype)
+    return np.unique(canonical, axis=0)
+
+
+class TestCanonicalizeEdges:
+    @given(num_nodes=st.integers(1, 60), data=st.data(),
+           dtype=st.sampled_from([np.int32, np.int64]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unique_rows_reference(self, num_nodes, data, dtype):
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, num_nodes - 1),
+                      st.integers(0, num_nodes - 1)), max_size=80))
+        edges = np.asarray(pairs, dtype=dtype).reshape(-1, 2)
+        ours = Graph._canonicalize_edges(edges, num_nodes)
+        reference = unique_rows_canonical(edges)
+        assert ours.dtype == reference.dtype == edges.dtype
+        assert ours.shape == reference.shape
+        assert ours.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("edges", [
+        np.zeros((0, 2)),                              # empty
+        np.array([[3, 3], [0, 0], [5, 5]]),            # all self-loops
+        np.array([[4, 1], [1, 4], [1, 4], [0, 2], [2, 0]]),  # duplicates
+    ], ids=["empty", "self_loops", "duplicates"])
+    def test_edge_cases(self, edges, dtype):
+        edges = edges.astype(dtype)
+        ours = Graph._canonicalize_edges(edges, 6)
+        reference = unique_rows_canonical(edges)
+        assert ours.dtype == reference.dtype == np.dtype(dtype)
+        assert ours.shape == reference.shape
+        assert ours.tobytes() == reference.tobytes()
+
+    def test_large_ids_do_not_overflow_int32_keys(self):
+        n = 70_000                      # n * n overflows int32
+        edges = np.array([[n - 1, n - 2], [1, n - 1], [n - 2, n - 1]],
+                         dtype=np.int32)
+        ours = Graph._canonicalize_edges(edges, n)
+        assert ours.tobytes() == unique_rows_canonical(edges).tobytes()
 
 
 class TestAccessors:

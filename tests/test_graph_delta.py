@@ -21,7 +21,12 @@ from hypothesis import strategies as st
 from repro.gnn import graph_shard_ops
 from repro.gnn.conv import GRAPH_OPS_KEY, graph_ops
 from repro.graph import Graph, GraphDelta, ShardedGraph
-from repro.graph.delta import GRAPH_OPS_PREFIX, dirty_frontier
+from repro.graph.algorithms import (TRIANGLES_KEY,
+                                    local_clustering_coefficients,
+                                    triangle_counts)
+from repro.graph.delta import (GRAPH_OPS_PREFIX, _splice_rows, dirty_frontier,
+                               dirty_frontier_mask)
+from repro.graph.features import structural_features
 from repro.nn.backend import index_precision, precision, resolve_dtype, \
     resolve_index_dtype
 from repro.tasks import QueryExample, Task
@@ -162,7 +167,9 @@ class TestDenseDifferential:
             graph = random_graph(rng)
             graph_ops(graph)                     # build, then mutate
             graph.apply_delta(random_delta(graph, rng))
-            assert ops_equal(graph_ops(graph), graph_ops(fresh_dense(graph)))
+            cold = fresh_dense(graph)
+            assert csr_equal(graph.adjacency, cold.adjacency)
+            assert ops_equal(graph_ops(graph), graph_ops(cold))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None,
@@ -174,7 +181,9 @@ class TestDenseDifferential:
             graph_ops(graph)
             for _ in range(3):
                 graph.apply_delta(random_delta(graph, rng))
-            assert ops_equal(graph_ops(graph), graph_ops(fresh_dense(graph)))
+            cold = fresh_dense(graph)
+            assert csr_equal(graph.adjacency, cold.adjacency)
+            assert ops_equal(graph_ops(graph), graph_ops(cold))
 
 
 class TestDensePrecisionWidths:
@@ -471,3 +480,252 @@ class TestDirtyFrontier:
             update_attributes=(np.array([3]), np.ones((1, 3)))))
         frontier = dirty_frontier(graph, report, hops=1)
         assert 3 in frontier and 4 in frontier and 0 not in frontier
+
+
+def loop_dirty_frontier(graph: Graph, report, hops: int) -> np.ndarray:
+    """The per-node frontier loop ``dirty_frontier`` replaced, kept as
+    its reference: each hop slices every frontier node's row and its
+    removed-edge partners, then takes the union."""
+    seeds = np.union1d(report.structure_nodes, report.feature_nodes)
+    if seeds.size == 0:
+        return seeds.astype(np.int64)
+    extra = {}
+    for u, v in report.removed_edges.tolist():
+        extra.setdefault(u, []).append(v)
+        extra.setdefault(v, []).append(u)
+    frontier = seeds.astype(np.int64)
+    for _ in range(hops):
+        blocks = [frontier]
+        for node in frontier.tolist():
+            if node < graph.num_nodes:
+                blocks.append(graph.neighbors(node).astype(np.int64))
+            if node in extra:
+                blocks.append(np.asarray(extra[node], dtype=np.int64))
+        grown = np.unique(np.concatenate(blocks))
+        if grown.size == frontier.size:
+            break
+        frontier = grown
+    return frontier
+
+
+class TestDirtyFrontierDifferential:
+    @pytest.mark.parametrize("index_dtype", ["int32", "int64"])
+    @given(seed=st.integers(0, 2**32 - 1), hops=st.integers(0, 4))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_per_node_loop(self, index_dtype, seed, hops):
+        with index_precision(index_dtype):
+            rng = make_rng(seed)
+            graph = random_graph(rng)
+            for _ in range(2):
+                report = graph.apply_delta(random_delta(graph, rng))
+                frontier = dirty_frontier(graph, report, hops)
+                assert frontier.dtype == np.int64
+                assert np.array_equal(frontier,
+                                      loop_dirty_frontier(graph, report, hops))
+                mask = dirty_frontier_mask(graph, report, hops)
+                assert np.array_equal(np.flatnonzero(mask), frontier)
+
+    def test_removed_edge_conducts_beyond_the_endpoints(self):
+        # 0-1 is removed; 1's only other route to 3 is through 2, so at
+        # two hops from 0 the frontier must still reach 2 via the old edge.
+        graph = Graph(6, [[0, 1], [1, 2], [2, 3], [4, 5]])
+        report = graph.apply_delta(GraphDelta(remove_edges=[[0, 1]],
+                                              add_edges=[[4, 0]]))
+        frontier = dirty_frontier(graph, report, hops=2)
+        assert np.array_equal(frontier, loop_dirty_frontier(graph, report, 2))
+        assert {0, 1, 2, 4, 5} <= set(frontier.tolist())
+
+    def test_negative_hops_rejected(self):
+        graph = Graph(3, [[0, 1]])
+        report = graph.apply_delta(GraphDelta(add_edges=[[1, 2]]))
+        with pytest.raises(ValueError):
+            dirty_frontier(graph, report, -1)
+
+
+# ----------------------------------------------------------------------
+# Triangle counts: patched across deltas vs a cold recount
+# ----------------------------------------------------------------------
+def churn_delta(graph: Graph, rng: np.random.Generator) -> GraphDelta:
+    """A structural delta that removes some live edges and re-adds one of
+    them in the same batch (set semantics: removed, then present again)."""
+    n = graph.num_nodes
+    add = rng.integers(0, n, size=(int(rng.integers(1, 6)), 2))
+    remove = None
+    if graph.num_edges:
+        picks = rng.choice(graph.num_edges, size=min(4, graph.num_edges),
+                           replace=False)
+        remove = graph.edges[picks]
+        add = np.concatenate([add, remove[:1]])
+    return GraphDelta(add_edges=add, remove_edges=remove)
+
+
+def assert_structure_matches_cold(graph: Graph) -> None:
+    cold = Graph(graph.num_nodes, np.array(graph.edges))
+    assert np.array_equal(triangle_counts(graph), triangle_counts(cold))
+    ours = local_clustering_coefficients(graph, graph.adjacency.dtype)
+    theirs = local_clustering_coefficients(cold, cold.adjacency.dtype)
+    assert ours.tobytes() == theirs.tobytes()
+    ours, theirs = structural_features(graph), structural_features(cold)
+    assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("index_dtype", ["int32", "int64"])
+@pytest.mark.parametrize("num_shards", [0, 3], ids=["dense", "sharded"])
+class TestTriangleRepair:
+    """After every delta the cached triangle counts are patched, not
+    dropped, and equal a cold recount — so the clustering column and the
+    whole structural block are bitwise a cold task's."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_patched_counts_equal_cold_recount(self, index_dtype, num_shards,
+                                               seed):
+        with index_precision(index_dtype):
+            rng = make_rng(seed)
+            graph = (sharded_pair(rng, num_shards) if num_shards
+                     else random_graph(rng))
+            structural_features(graph)
+            graph_ops(graph)
+            cache = graph.__dict__["_ops_cache"]
+            for step in range(4):
+                before = cache[TRIANGLES_KEY]
+                delta = (churn_delta(graph, rng) if step % 2
+                         else random_delta(graph, rng, allow_nodes=False))
+                report = graph.apply_delta(delta)
+                if report.structural:
+                    assert cache[TRIANGLES_KEY] is not before
+                assert_structure_matches_cold(graph)
+
+    def test_remove_then_readd_across_deltas(self, index_dtype, num_shards):
+        with index_precision(index_dtype):
+            edges = [[0, 1], [1, 2], [0, 2], [2, 3], [1, 3], [3, 4]]
+            graph = (ShardedGraph(6, edges, num_shards=num_shards)
+                     if num_shards else Graph(6, edges))
+            assert triangle_counts(graph).tolist() == [1, 2, 2, 1, 0, 0]
+            graph.apply_delta(GraphDelta(remove_edges=[[1, 2]]))
+            assert triangle_counts(graph).tolist() == [0, 0, 0, 0, 0, 0]
+            graph.apply_delta(GraphDelta(add_edges=[[2, 1]],
+                                         remove_edges=[[3, 4]]))
+            assert triangle_counts(graph).tolist() == [1, 2, 2, 1, 0, 0]
+            graph.apply_delta(GraphDelta(remove_edges=[[1, 2], [0, 1]],
+                                         add_edges=[[1, 2], [2, 4], [3, 4]]))
+            assert_structure_matches_cold(graph)
+
+
+class TestTriangleCacheLifecycle:
+    def test_appended_nodes_start_at_zero(self):
+        graph = Graph(4, [[0, 1], [1, 2], [0, 2]],
+                      attributes=np.zeros((4, 2)))
+        triangle_counts(graph)
+        graph.apply_delta(GraphDelta(add_nodes=2,
+                                     node_attributes=np.zeros((2, 2)),
+                                     add_edges=[[4, 0], [4, 1], [5, 3]]))
+        assert triangle_counts(graph).tolist() == [2, 2, 1, 0, 1, 0]
+        assert_structure_matches_cold(graph)
+
+    def test_counts_are_read_only(self):
+        counts = triangle_counts(Graph(3, [[0, 1], [1, 2], [0, 2]]))
+        with pytest.raises(ValueError):
+            counts[0] = 7
+
+    def test_repair_false_and_set_attributes_drop_the_entry(self):
+        graph = Graph(5, [[0, 1], [1, 2], [0, 2]],
+                      attributes=np.zeros((5, 2)))
+        triangle_counts(graph)
+        graph.apply_delta(GraphDelta(add_edges=[[2, 3]]), repair=False)
+        assert TRIANGLES_KEY not in graph.__dict__["_ops_cache"]
+        triangle_counts(graph)
+        graph.set_attributes(np.ones((5, 2)))
+        assert TRIANGLES_KEY not in graph.__dict__["_ops_cache"]
+        assert_structure_matches_cold(graph)
+
+    def test_attribute_only_delta_keeps_the_entry(self):
+        graph = Graph(4, [[0, 1], [1, 2], [0, 2]],
+                      attributes=np.zeros((4, 2)))
+        counts = triangle_counts(graph)
+        graph.apply_delta(GraphDelta(update_attributes=([1], np.ones((1, 2)))))
+        assert triangle_counts(graph) is counts
+
+
+# ----------------------------------------------------------------------
+# _splice_rows edge cases, against a row-list reference
+# ----------------------------------------------------------------------
+def splice_reference(matrix: sp.csr_matrix, num_rows: int, rebuild,
+                     revalue) -> sp.csr_matrix:
+    rows, counts, cols, vals = rebuild
+    new_rows = {}
+    start = 0
+    for row, count in zip(rows.tolist(), counts.tolist()):
+        new_rows[row] = (cols[start:start + count], vals[start:start + count])
+        start += count
+    if revalue is not None:
+        start = 0
+        for row in revalue[0].tolist():
+            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+            new_rows[row] = (matrix.indices[lo:hi],
+                             revalue[1][start:start + hi - lo])
+            start += hi - lo
+    indices, data, indptr = [], [], [0]
+    for row in range(num_rows):
+        if row in new_rows:
+            row_cols, row_vals = new_rows[row]
+        elif row < matrix.shape[0]:
+            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+            row_cols, row_vals = matrix.indices[lo:hi], matrix.data[lo:hi]
+        else:
+            row_cols, row_vals = [], []
+        indices.extend(np.asarray(row_cols).tolist())
+        data.extend(np.asarray(row_vals).tolist())
+        indptr.append(len(indices))
+    return (np.asarray(indptr), np.asarray(indices),
+            np.asarray(data, dtype=matrix.dtype))
+
+
+class TestSpliceRows:
+    def _matrix(self, rng, n: int) -> sp.csr_matrix:
+        dense = (rng.random((n, n)) < 0.3) * rng.standard_normal((n, n))
+        return sp.csr_matrix(dense)
+
+    def _rebuild(self, rng, rows, num_cols):
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = rng.integers(0, 4, size=rows.size)
+        cols = np.concatenate(
+            [np.sort(rng.choice(num_cols, size=c, replace=False))
+             for c in counts.tolist()] + [np.zeros(0, dtype=np.int64)])
+        return rows, counts, cols, rng.standard_normal(cols.size)
+
+    def _check(self, matrix, num_rows, rebuild, revalue=None):
+        ours = _splice_rows(matrix, num_rows, matrix.shape[1], rebuild,
+                            revalue, np.dtype(np.int32))
+        indptr, indices, data = splice_reference(matrix, num_rows, rebuild,
+                                                 revalue)
+        assert ours.shape == (num_rows, matrix.shape[1])
+        assert np.array_equal(ours.indptr, indptr)
+        assert np.array_equal(ours.indices, indices)
+        assert ours.data.tobytes() == data.tobytes()
+        assert ours.indices.dtype == np.int32
+
+    @pytest.mark.parametrize("case", ["none", "first_and_last", "every",
+                                      "appended"])
+    def test_edge_cases(self, case):
+        rng = make_rng(11)
+        n = 9
+        matrix = self._matrix(rng, n)
+        num_rows = n + 3 if case == "appended" else n
+        rows = {"none": [], "first_and_last": [0, n - 1],
+                "every": list(range(n)), "appended": [2, n + 1]}[case]
+        self._check(matrix, num_rows, self._rebuild(rng, rows, n))
+
+    def test_revalue_beside_rebuild(self):
+        rng = make_rng(12)
+        n = 9
+        matrix = self._matrix(rng, n)
+        revalue_rows = np.array([1, 4, 8], dtype=np.int64)
+        nnz = int(sum(matrix.indptr[r + 1] - matrix.indptr[r]
+                      for r in revalue_rows.tolist()))
+        self._check(matrix, n, self._rebuild(rng, [0, 5], n),
+                    (revalue_rows, rng.standard_normal(nnz)))
+        self._check(matrix, n, self._rebuild(rng, [], n),
+                    (revalue_rows, rng.standard_normal(nnz)))
