@@ -31,6 +31,7 @@ bundle's recorded training precision.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import logging
 import os
@@ -58,9 +59,14 @@ logger = logging.getLogger(__name__)
 
 
 def _json_native(value: Any) -> Any:
-    """Strip numpy scalar wrappers so a stats dict survives ``json.dumps``."""
+    """A stats value as plain python that survives ``json.dumps``
+    (numpy scalars unwrapped, histograms summarised)."""
     if isinstance(value, np.generic):
         return value.item()
+    if isinstance(value, dict):
+        return {key: _json_native(item) for key, item in value.items()}
+    if hasattr(value, "as_dict"):
+        return value.as_dict()
     return value
 
 
@@ -121,76 +127,109 @@ class _StoredContext:
         return Tensor(self.payload.astype(self.compute_dtype, copy=False))
 
 
+def metric(kind: str, name: str, help: str, default: Any = 0, /, *,
+           label: Optional[str] = None, **labels: str) -> Any:
+    """A stats field that is its metric's only definition.
+
+    ``kind``, family ``name``, ``help`` and fixed ``labels`` ride in the
+    field's metadata for :meth:`~repro.serve.ServeStats.metrics_text`;
+    fields sharing a ``name`` are one family told apart by ``labels``.
+    ``label`` is the label the value carries: one sample per key of a
+    dict field, or an info sample of value 1 for a string field.  A
+    callable ``default`` is a ``default_factory``.
+    """
+    metadata = {"metric": (kind, name, help, label, labels)}
+    if callable(default):
+        return dataclasses.field(default_factory=default, metadata=metadata)
+    return dataclasses.field(default=default, metadata=metadata)
+
+
 @dataclasses.dataclass
 class EngineStats:
-    """Serving counters and timers of one engine.
+    """Serving counters and timers of one engine; each :func:`metric`
+    field's help text is its documentation.
 
-    ``backend`` names the :class:`~repro.nn.backend.ArrayBackend` the
-    engine's kernels dispatch through — :meth:`CommunitySearchEngine.stats`
-    fills it from the active backend at snapshot time, so a scoped
-    ``use_backend(...)`` override shows up in the snapshot it applies to.
-
-    ``decode_calls`` counts decoder *passes* (a coalesced
-    :meth:`CommunitySearchEngine.predict_proba_many` call is one pass
-    however many request batches it answers), while ``batches_served``
-    counts logical request batches and ``queries_served`` individual
-    query nodes.  ``first_query_at``/``last_query_at`` are wall-clock
-    Unix timestamps of the first/latest decode — the
-    :class:`~repro.serve.ServeStats` layer derives observation windows
-    from them independently of any per-call counter.
-
-    ``context_cache_bytes`` is the resident size of the context LRU
-    (payloads plus quantisation scales) and ``contexts_bytes_evicted``
-    the cumulative bytes reclaimed by LRU eviction; together with
-    ``context_storage`` (the engine's cache width policy) they make the
-    RAM-vs-capacity trade-off of compacted storage observable.
-
-    ``graph_resident_bytes`` / ``shard_count`` describe the *active*
-    task's graph at snapshot time: the estimated anonymous-RAM footprint
-    of its operators + feature working set, and its row-shard count
-    (1 for a plain dense graph, 0 when no task is attached) — see
-    :func:`repro.graph.shard.graph_memory_profile`.
-
-    ``deltas_applied`` / ``rows_repaired`` / ``contexts_dirtied`` track
-    the streaming-update path (:meth:`CommunitySearchEngine.apply_delta`):
-    deltas applied through this engine, operator rows rewritten in place
-    by degree-local repair, and cached task contexts invalidated for
-    lazy re-encoding because the delta's dirty frontier reached their
-    support sets.
-
-    ``auto_selections`` / ``auto_fallbacks`` / ``auto_select_seconds`` /
-    ``method_picks`` instrument the ``method="auto"`` path
-    (:meth:`CommunitySearchEngine.answer_task`): tasks routed by the
-    :class:`~repro.meta.MethodSelector`, tasks served by the native
-    model because the selector abstained (or none is configured), wall
-    clock spent extracting meta-features + scoring candidates, and how
-    often each method (by name, native model included) actually answered.
+    :meth:`CommunitySearchEngine.stats` fills the backend, storage
+    width, cache bytes and active-graph gauges at snapshot time.
+    ``first_query_at`` / ``last_query_at`` (not exported) are the Unix
+    times of the first/latest decode.
     """
 
-    queries_served: int = 0
-    batches_served: int = 0
-    decode_calls: int = 0
-    contexts_encoded: int = 0
-    context_cache_hits: int = 0
-    context_cache_misses: int = 0
-    contexts_evicted: int = 0
-    context_cache_bytes: int = 0
-    contexts_bytes_evicted: int = 0
-    context_seconds: float = 0.0
-    decode_seconds: float = 0.0
+    queries_served: int = metric(
+        "counter", "repro_engine_queries_served_total",
+        "Individual query nodes answered by the engine.")
+    batches_served: int = metric(
+        "counter", "repro_engine_batches_served_total",
+        "Logical request batches answered by the engine.")
+    decode_calls: int = metric(
+        "counter", "repro_engine_decode_calls_total",
+        "Decoder passes (one per coalesced tick group).")
+    contexts_encoded: int = metric(
+        "counter", "repro_engine_contexts_encoded_total",
+        "Task contexts encoded (cache misses that did work).")
+    context_cache_hits: int = metric(
+        "counter", "repro_engine_context_cache_hits_total",
+        "Context LRU hits.")
+    context_cache_misses: int = metric(
+        "counter", "repro_engine_context_cache_misses_total",
+        "Context LRU misses.")
+    contexts_evicted: int = metric(
+        "counter", "repro_engine_contexts_evicted_total",
+        "Context LRU evictions.")
+    context_cache_bytes: int = metric(
+        "gauge", "repro_engine_context_cache_bytes",
+        "Resident bytes of the context LRU (payloads + scales).")
+    contexts_bytes_evicted: int = metric(
+        "counter", "repro_engine_contexts_bytes_evicted_total",
+        "Cumulative bytes reclaimed by context LRU eviction.")
+    context_seconds: float = metric(
+        "counter", "repro_engine_context_seconds_total",
+        "Wall-clock seconds encoding task contexts (encoder plus the "
+        "decoder's context transform).", 0.0)
+    decode_seconds: float = metric(
+        "counter", "repro_engine_decode_seconds_total",
+        "Wall-clock seconds inside the decoder.", 0.0)
     first_query_at: Optional[float] = None
     last_query_at: Optional[float] = None
-    backend: str = ""
-    context_storage: str = ""
-    graph_resident_bytes: int = 0
-    shard_count: int = 0
-    deltas_applied: int = 0
-    rows_repaired: int = 0
-    contexts_dirtied: int = 0
-    auto_selections: int = 0
-    auto_fallbacks: int = 0
-    auto_select_seconds: float = 0.0
-    method_picks: Dict[str, int] = dataclasses.field(default_factory=dict)
+    backend: str = metric(
+        "gauge", "repro_engine_backend_info",
+        "Active array backend (value is always 1).", "", label="backend")
+    context_storage: str = metric(
+        "gauge", "repro_engine_context_storage_info",
+        "Context cache storage width (value is always 1).", "",
+        label="storage")
+    graph_resident_bytes: int = metric(
+        "gauge", "repro_engine_graph_resident_bytes",
+        "Estimated anonymous-RAM bytes of the active task graph "
+        "(operators + feature working set).")
+    shard_count: int = metric(
+        "gauge", "repro_engine_shard_count",
+        "Row shards of the active task graph (1 = dense, 0 = no task "
+        "attached).")
+    deltas_applied: int = metric(
+        "counter", "repro_engine_deltas_applied_total",
+        "Graph deltas applied through the engine.")
+    rows_repaired: int = metric(
+        "counter", "repro_engine_rows_repaired_total",
+        "Operator rows rewritten in place by delta repair.")
+    contexts_dirtied: int = metric(
+        "counter", "repro_engine_contexts_dirtied_total",
+        "Cached task contexts invalidated for lazy re-encoding by a "
+        "delta's dirty frontier.")
+    auto_selections: int = metric(
+        "counter", "repro_engine_auto_selections_total",
+        'Tasks routed by the meta-method selector (method="auto").')
+    auto_fallbacks: int = metric(
+        "counter", "repro_engine_auto_fallbacks_total",
+        "auto tasks served by the native model because the selector "
+        "abstained or none is configured.")
+    auto_select_seconds: float = metric(
+        "counter", "repro_engine_auto_select_seconds_total",
+        "Wall-clock seconds extracting meta-features and scoring "
+        "candidates on the auto path.", 0.0)
+    method_picks: Dict[str, int] = metric(
+        "counter", "repro_engine_method_picks_total",
+        "Tasks answered per method via answer_task.", dict, label="method")
 
     @property
     def queries_per_second(self) -> float:
@@ -206,13 +245,19 @@ class EngineStats:
             return 0.0
         return self.last_query_at - self.first_query_at
 
+    def snapshot(self, **changes: Any) -> "EngineStats":
+        """A deep copy with ``changes`` applied: it shares no dict or
+        histogram with the live counters."""
+        return copy.deepcopy(dataclasses.replace(self, **changes))
+
     def as_dict(self) -> Dict[str, Any]:
-        """A plain-python dict that round-trips through ``json.dumps``."""
-        data = {key: _json_native(value)
-                for key, value in dataclasses.asdict(self).items()}
-        data["queries_per_second"] = float(self.queries_per_second)
-        data["wall_seconds"] = float(self.wall_seconds)
-        return data
+        """A plain-python dict of every field and derived property that
+        round-trips through ``json.dumps``."""
+        cls = type(self)
+        names = [field.name for field in dataclasses.fields(self)]
+        names += [name for name in dir(cls)
+                  if isinstance(getattr(cls, name), property)]
+        return {name: _json_native(getattr(self, name)) for name in names}
 
 
 class CommunitySearchEngine:
@@ -357,7 +402,7 @@ class CommunitySearchEngine:
         self._validate_task(task)
         with self._lock:
             if refresh:
-                self._pop_context(task)
+                self._contexts.pop(task, None)
             self._context_for(task)
             self._active = task
         return self
@@ -388,7 +433,7 @@ class CommunitySearchEngine:
                     continue
                 seen.add(id(task))
                 if refresh:
-                    self._pop_context(task)
+                    self._contexts.pop(task, None)
                 if task in self._contexts:
                     self._contexts.move_to_end(task)
                     self._stats.context_cache_hits += 1
@@ -460,7 +505,7 @@ class CommunitySearchEngine:
         with self._lock:
             task = task if task is not None else self._active
             if task is not None:
-                self._pop_context(task)
+                self._contexts.pop(task, None)
             if task is self._active:
                 self._active = None
 
@@ -498,7 +543,7 @@ class CommunitySearchEngine:
 
     def _store_context(self, task: Task, context: Tensor) -> _StoredContext:
         """Transform a freshly encoded context ``H`` into ``T`` and insert
-        it at the cache width; account its bytes.
+        it at the cache width, at the LRU's most-recent end.
 
         One task at a time, so ``T`` is bitwise the transform a
         standalone :meth:`CGNP.query_logits_batch
@@ -507,25 +552,14 @@ class CommunitySearchEngine:
         with no_grad():
             transformed = self.model.decoder.transform(context, task.graph)
         stored = _StoredContext(transformed, self.context_storage)
-        previous = self._contexts.pop(task, None)
-        if previous is not None:
-            self._stats.context_cache_bytes -= previous.nbytes
+        self._contexts.pop(task, None)
         self._contexts[task] = stored
-        self._stats.context_cache_bytes += stored.nbytes
         return stored
-
-    def _pop_context(self, task: Task) -> None:
-        """Drop a cached context and its bytes (detach/refresh — not an
-        LRU eviction, so the eviction counters stay untouched)."""
-        stored = self._contexts.pop(task, None)
-        if stored is not None:
-            self._stats.context_cache_bytes -= stored.nbytes
 
     def _evict(self) -> None:
         while len(self._contexts) > self.max_cached_contexts:
             _, stored = self._contexts.popitem(last=False)
             self._stats.contexts_evicted += 1
-            self._stats.context_cache_bytes -= stored.nbytes
             self._stats.contexts_bytes_evicted += stored.nbytes
 
     # ------------------------------------------------------------------
@@ -831,7 +865,7 @@ class CommunitySearchEngine:
                 if frontier is not None and not frontier[
                         self._support_nodes(candidate)].any():
                     continue
-                self._pop_context(candidate)
+                self._contexts.pop(candidate, None)
                 self._stats.contexts_dirtied += 1
             return report
 
@@ -851,15 +885,13 @@ class CommunitySearchEngine:
         with self._lock:
             resident, shards = ((0, 0) if self._active is None
                                 else graph_memory_profile(self._active.graph))
-            # method_picks is mutable: replace() would share the live dict
-            # with the snapshot, so copy it explicitly.
-            return dataclasses.replace(self._stats,
-                                       backend=get_backend().name,
-                                       context_storage=self.context_storage,
-                                       graph_resident_bytes=int(resident),
-                                       shard_count=int(shards),
-                                       method_picks=dict(
-                                           self._stats.method_picks))
+            return self._stats.snapshot(
+                backend=get_backend().name,
+                context_storage=self.context_storage,
+                context_cache_bytes=sum(
+                    stored.nbytes for stored in self._contexts.values()),
+                graph_resident_bytes=int(resident),
+                shard_count=int(shards))
 
     def reset_stats(self) -> None:
         with self._lock:

@@ -60,10 +60,6 @@ from .utils import make_rng
 
 __all__ = ["main", "build_parser"]
 
-#: Query-time architecture flags superseded by the model bundle.
-DEPRECATED_QUERY_FLAGS = ("hidden_dim", "layers", "conv", "decoder")
-
-
 def _add_index_flag(parser: argparse.ArgumentParser) -> None:
     """The ``--index-dtype`` policy flag shared by the model commands.
 
@@ -246,17 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the same cache RAM")
     _add_index_flag(query)
     _add_shard_flags(query)
-    # Deprecated no-ops: the architecture now travels inside the bundle.
-    # Still accepted (and used as a fallback for legacy weight-only files)
-    # so existing scripts keep working, with a warning.
-    query.add_argument("--hidden-dim", type=int, default=None,
-                       help="deprecated: read from the model bundle")
-    query.add_argument("--layers", type=int, default=None,
-                       help="deprecated: read from the model bundle")
-    query.add_argument("--conv", default=None, choices=["gcn", "gat", "sage"],
-                       help="deprecated: read from the model bundle")
-    query.add_argument("--decoder", default=None, choices=["ip", "mlp", "gnn"],
-                       help="deprecated: read from the model bundle")
 
     serve = sub.add_parser(
         "serve",
@@ -471,26 +456,36 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warn_deprecated_query_flags(args: argparse.Namespace) -> None:
-    used = [flag for flag in DEPRECATED_QUERY_FLAGS
-            if getattr(args, flag) is not None]
-    if used:
-        flags = ", ".join("--" + f.replace("_", "-") for f in used)
-        print(f"warning: {flags} deprecated for `query` — the architecture "
-              f"is read from the model bundle", file=sys.stderr)
-
-
-def _legacy_config(args: argparse.Namespace) -> CGNPConfig:
-    """Architecture for weight-only checkpoints, from flags or defaults."""
-    return CGNPConfig(
-        hidden_dim=args.hidden_dim if args.hidden_dim is not None else 64,
-        num_layers=args.layers if args.layers is not None else 2,
-        conv=args.conv if args.conv is not None else "gat",
-        decoder=args.decoder if args.decoder is not None else "ip")
+def _bundle_engine(args: argparse.Namespace, in_dim: int,
+                   **engine_kwargs) -> Optional[CommunitySearchEngine]:
+    """The serving engine for ``--model``; ``None`` (after printing the
+    error) when the bundle is unreadable, a legacy weight-only
+    checkpoint with no architecture header, or built for other
+    features."""
+    try:
+        bundle = ModelBundle.load(args.model)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot load model bundle {args.model!r}: {exc}",
+              file=sys.stderr)
+        return None
+    if bundle.is_legacy:
+        print(f"error: legacy weight-only checkpoint — `repro "
+              f"{args.command}` needs the architecture header; re-save "
+              f"with `repro train`", file=sys.stderr)
+        return None
+    print(f"loaded {bundle.describe()}")
+    if bundle.in_dim != in_dim:
+        print(f"error: bundle expects {bundle.in_dim}-dim node features "
+              f"but dataset {args.dataset!r} at scale {args.scale} "
+              f"produces {in_dim}-dim features", file=sys.stderr)
+        return None
+    # "bundle" defers to the checkpoint's recorded training precision.
+    return CommunitySearchEngine.from_bundle(
+        bundle, dtype=None if args.dtype == "bundle" else args.dtype,
+        context_storage=args.context_storage, **engine_kwargs)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    _warn_deprecated_query_flags(args)
     with _index_scope(args):
         return _run_query(args)
 
@@ -513,34 +508,9 @@ def _run_query(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # "bundle" defers to the checkpoint's recorded training precision.
-    serving_dtype = None if args.dtype == "bundle" else args.dtype
-
-    try:
-        bundle = ModelBundle.load(args.model)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load model bundle {args.model!r}: {exc}",
-              file=sys.stderr)
+    engine = _bundle_engine(args, in_dim, threshold=args.threshold)
+    if engine is None:
         return 2
-    if bundle.is_legacy:
-        print("warning: legacy weight-only checkpoint — architecture taken "
-              "from flags/defaults; re-save with `repro train` to embed it",
-              file=sys.stderr)
-        model = bundle.build_model(make_rng(0), config=_legacy_config(args),
-                                   in_dim=in_dim, dtype=serving_dtype)
-        engine = CommunitySearchEngine(model, threshold=args.threshold,
-                                       context_storage=args.context_storage)
-    else:
-        print(f"loaded {bundle.describe()}")
-        if bundle.in_dim != in_dim:
-            print(f"error: bundle expects {bundle.in_dim}-dim node features "
-                  f"but dataset {args.dataset!r} at scale {args.scale} "
-                  f"produces {in_dim}-dim features", file=sys.stderr)
-            return 2
-        engine = CommunitySearchEngine.from_bundle(
-            bundle, threshold=args.threshold, dtype=serving_dtype,
-            context_storage=args.context_storage)
-
     try:
         engine.attach(task)
         members = engine.query(args.node)
@@ -567,9 +537,7 @@ def _serving_fixture(args: argparse.Namespace):
     """Engine + sampled task for ``serve``/``loadgen``; ``None`` on error.
 
     Mirrors the ``query`` fixture: a fresh task subgraph from the
-    dataset, the model read from the self-describing bundle.  Legacy
-    weight-only checkpoints are rejected here — the serving commands
-    have no architecture flags to fall back on.
+    dataset, the model read from the self-describing bundle.
     """
     dataset = load_dataset(args.dataset, scale=args.scale)
     sampler = TaskSampler(dataset.graph, subgraph_nodes=args.subgraph_nodes,
@@ -580,28 +548,9 @@ def _serving_fixture(args: argparse.Namespace):
         task = _shard_task(task, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    serving_dtype = None if args.dtype == "bundle" else args.dtype
-    try:
-        bundle = ModelBundle.load(args.model)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load model bundle {args.model!r}: {exc}",
-              file=sys.stderr)
         return None
-    if bundle.is_legacy:
-        print("error: legacy weight-only checkpoint — `repro serve` needs "
-              "the architecture header; re-save with `repro train`",
-              file=sys.stderr)
-        return None
-    print(f"loaded {bundle.describe()}")
-    if bundle.in_dim != in_dim:
-        print(f"error: bundle expects {bundle.in_dim}-dim node features "
-              f"but dataset {args.dataset!r} at scale {args.scale} "
-              f"produces {in_dim}-dim features", file=sys.stderr)
-        return None
-    engine = CommunitySearchEngine.from_bundle(
-        bundle, dtype=serving_dtype, context_storage=args.context_storage)
-    return engine, task
+    engine = _bundle_engine(args, in_dim)
+    return None if engine is None else (engine, task)
 
 
 def _gateway_config(args: argparse.Namespace) -> GatewayConfig:
@@ -626,8 +575,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                              stats_out=stats_out)
         print(result.describe())
         stats = stats_out[0]
-        busy = stats.ticks - stats.empty_ticks
-        print(f"gateway: {busy} busy tick(s), "
+        print(f"gateway: {stats.busy_ticks} busy tick(s), "
               f"{stats.tick_batch_requests.mean:.1f} requests/tick mean, "
               f"queue high-water {stats.queue_depth_high_water}, "
               f"{stats.decode_calls} decoder pass(es) for "

@@ -224,10 +224,10 @@ class ServeGateway:
         except RuntimeError:            # stop() after the loop exited
             now = None
         batch = self._queue.drain(self.config.max_tick_requests)
-        self._stats.ticks += 1
         if not batch:
             self._stats.empty_ticks += 1
             return 0
+        self._stats.busy_ticks += 1
         if now is not None:
             for request in batch:
                 self._stats.queue_wait.observe(now - request.submitted_at)

@@ -11,9 +11,10 @@ Three pieces:
   counters: submissions/rejections/cancellations, tick counts,
   queue-depth high-water mark, queue-wait and end-to-end latency
   histograms (p50/p95/p99) and the per-tick batch-size distribution;
-* :meth:`ServeStats.metrics_text` — the whole snapshot rendered in the
-  Prometheus text exposition format, so any scraper (or ``curl``) can
-  consume a gateway's ``/metrics``-style output without new deps.
+* :meth:`ServeStats.metrics_text` — every field declared with
+  :func:`~repro.api.engine.metric` rendered in the Prometheus text
+  exposition format, so any scraper (or ``curl``) can consume a
+  gateway's ``/metrics``-style output without new deps.
 
 Latency buckets are geometric from 10 µs to ≈5 min (factor 1.5): fine
 enough that p99 interpolation is meaningful at sub-millisecond decode
@@ -24,10 +25,12 @@ powers of two — per-tick coalescing counts are small integers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence
+from itertools import accumulate
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..api.engine import EngineStats
+from ..api.engine import EngineStats, metric
 
 __all__ = ["Histogram", "ServeStats", "latency_histogram",
            "batch_size_histogram", "LATENCY_BUCKETS", "BATCH_SIZE_BUCKETS"]
@@ -112,23 +115,13 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def copy(self) -> "Histogram":
-        clone = Histogram(self.bounds)
-        clone.counts = list(self.counts)
-        clone.count = self.count
-        clone.total = self.total
-        clone.min_observed = self.min_observed
-        clone.max_observed = self.max_observed
-        return clone
+    def buckets(self) -> Dict[str, int]:
+        """Cumulative counts keyed by ``le`` label, ``"+Inf"`` last."""
+        return dict(zip([f"{bound:.9g}" for bound in self.bounds] + ["+Inf"],
+                        accumulate(self.counts)))
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe summary: moments, key percentiles, cumulative buckets."""
-        cumulative = 0
-        buckets: Dict[str, int] = {}
-        for bound, bucket_count in zip(self.bounds, self.counts):
-            cumulative += bucket_count
-            buckets[f"{bound:.9g}"] = cumulative
-        buckets["+Inf"] = self.count
         return {
             "count": self.count,
             "sum": self.total,
@@ -138,7 +131,7 @@ class Histogram:
             "p50": self.percentile(50),
             "p95": self.percentile(95),
             "p99": self.percentile(99),
-            "buckets": buckets,
+            "buckets": self.buckets(),
         }
 
     def __repr__(self) -> str:    # pragma: no cover - cosmetics
@@ -154,6 +147,35 @@ def batch_size_histogram() -> Histogram:
     return Histogram(BATCH_SIZE_BUCKETS)
 
 
+def _escape(text: Any, quote: bool = True) -> str:
+    """Escape a label value, or HELP text (``quote=False``), for the text
+    exposition format."""
+    text = str(text).replace("\\", "\\\\").replace("\n", "\\n")
+    return text.replace('"', '\\"') if quote else text
+
+
+def _samples(name: str, kind: str, label: Optional[str],
+             labels: Dict[str, str], value: Any) -> List[Tuple]:
+    """``(sample name, labels, value)`` of one ``metric(...)`` field."""
+    if kind == "histogram":
+        return [(f"{name}_bucket", {"le": le}, count)
+                for le, count in value.buckets().items()] + [
+            (f"{name}_sum", {}, f"{value.total:.9g}"),
+            (f"{name}_count", {}, value.count)]
+    if label is None:
+        return [(name, labels, value)]
+    # The value carries the label: one sample per dict key, or an info
+    # gauge whose string is the label and whose value is always 1.
+    pairs = sorted(value.items()) if isinstance(value, dict) else [(value, 1)]
+    return [(name, {**labels, label: key}, count) for key, count in pairs]
+
+
+_requests = functools.partial(metric, "counter", "repro_serve_requests_total",
+                              "Requests by final outcome.")
+_ticks = functools.partial(metric, "counter", "repro_serve_ticks_total",
+                           "Flush ticks by kind.")
+
+
 @dataclasses.dataclass
 class ServeStats(EngineStats):
     """Gateway counters layered on top of the engine's serving stats.
@@ -165,179 +187,73 @@ class ServeStats(EngineStats):
     traffic the gateway mediated in front of it.
     """
 
-    submitted: int = 0
-    completed: int = 0
-    rejected: int = 0
-    cancelled: int = 0
-    failed: int = 0
-    ticks: int = 0
-    empty_ticks: int = 0
-    queue_depth_high_water: int = 0
-    queue_wait: Histogram = dataclasses.field(
-        default_factory=latency_histogram)
-    request_latency: Histogram = dataclasses.field(
-        default_factory=latency_histogram)
-    tick_batch_requests: Histogram = dataclasses.field(
-        default_factory=batch_size_histogram)
+    submitted: int = metric("counter", "repro_serve_requests_submitted_total",
+                            "Requests accepted into the gateway queue.")
+    completed: int = _requests(outcome="completed")
+    rejected: int = _requests(outcome="rejected")
+    cancelled: int = _requests(outcome="cancelled")
+    failed: int = _requests(outcome="failed")
+    busy_ticks: int = _ticks(kind="busy")
+    empty_ticks: int = _ticks(kind="empty")
+    queue_depth_high_water: int = metric(
+        "gauge", "repro_serve_queue_depth_high_water",
+        "Deepest the bounded request queue has been.")
+    queue_wait: Histogram = metric(
+        "histogram", "repro_serve_queue_wait_seconds",
+        "Submit-to-flush wait inside the queue.", latency_histogram)
+    request_latency: Histogram = metric(
+        "histogram", "repro_serve_request_latency_seconds",
+        "Submit-to-answer latency of completed requests.", latency_histogram)
+    tick_batch_requests: Histogram = metric(
+        "histogram", "repro_serve_tick_batch_requests",
+        "Requests coalesced per busy tick.", batch_size_histogram)
+
+    @property
+    def ticks(self) -> int:
+        """Flush ticks, busy or empty."""
+        return self.busy_ticks + self.empty_ticks
 
     def with_engine(self, engine_stats: EngineStats) -> "ServeStats":
         """An isolated snapshot with the engine-level fields filled in."""
-        merged = dataclasses.replace(
-            self, **{field.name: getattr(engine_stats, field.name)
-                     for field in dataclasses.fields(EngineStats)})
-        merged.queue_wait = self.queue_wait.copy()
-        merged.request_latency = self.request_latency.copy()
-        merged.tick_batch_requests = self.tick_batch_requests.copy()
-        merged.method_picks = dict(engine_stats.method_picks)
-        return merged
+        return self.snapshot(**{field.name: getattr(engine_stats, field.name)
+                                for field in dataclasses.fields(EngineStats)})
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict: engine fields + gateway counters + histograms."""
-        data = EngineStats.as_dict(self)
-        for name in ("submitted", "completed", "rejected", "cancelled",
-                     "failed", "ticks", "empty_ticks",
-                     "queue_depth_high_water"):
-            data[name] = int(getattr(self, name))
-        data["queue_wait"] = self.queue_wait.as_dict()
-        data["request_latency"] = self.request_latency.as_dict()
-        data["tick_batch_requests"] = self.tick_batch_requests.as_dict()
-        return data
-
-    # ------------------------------------------------------------------
-    # Prometheus text exposition
-    # ------------------------------------------------------------------
     def metrics_text(self) -> str:
         """The snapshot in the Prometheus text exposition format.
 
-        Counters end in ``_total``, durations are ``_seconds``,
-        histograms emit cumulative ``_bucket{le=...}`` series plus
-        ``_sum``/``_count`` — parseable by any Prometheus scraper (and
-        asserted well-formed by ``tests/test_serve_stats.py``).
+        Every field declared with :func:`~repro.api.engine.metric` is
+        rendered; fields sharing a family name share its ``# HELP`` /
+        ``# TYPE`` header, and a family with no samples (an empty dict)
+        is left out.  Label values and HELP text are escaped.  Adding a
+        metric is adding one field:
+
+        >>> from repro.api.engine import metric
+        >>> @dataclasses.dataclass
+        ... class WidgetStats(ServeStats):
+        ...     widgets: int = metric("counter", "demo_widgets_total",
+        ...                           "Widgets made.")
+        >>> text = WidgetStats(widgets=3).metrics_text()
+        >>> print(text[text.index("# HELP demo_widgets_total"):], end="")
+        # HELP demo_widgets_total Widgets made.
+        # TYPE demo_widgets_total counter
+        demo_widgets_total 3
         """
-        lines: List[str] = []
-
-        def counter(name: str, help_text: str, value: float,
-                    label: str = "") -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name}{label} {value}")
-
-        def gauge(name: str, help_text: str, value: float,
-                  label: str = "") -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name}{label} {value}")
-
-        def histogram(name: str, help_text: str, hist: Histogram) -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for bound, bucket_count in zip(hist.bounds, hist.counts):
-                cumulative += bucket_count
-                lines.append(f'{name}_bucket{{le="{bound:.9g}"}} {cumulative}')
-            lines.append(f'{name}_bucket{{le="+Inf"}} {hist.count}')
-            lines.append(f"{name}_sum {hist.total:.9g}")
-            lines.append(f"{name}_count {hist.count}")
-
-        lines.append("# HELP repro_serve_requests_total Requests by final "
-                     "outcome.")
-        lines.append("# TYPE repro_serve_requests_total counter")
-        for outcome in ("completed", "rejected", "cancelled", "failed"):
-            lines.append(f'repro_serve_requests_total'
-                         f'{{outcome="{outcome}"}} '
-                         f"{getattr(self, outcome)}")
-        counter("repro_serve_requests_submitted_total",
-                "Requests accepted into the gateway queue.", self.submitted)
-        lines.append("# HELP repro_serve_ticks_total Flush ticks by kind.")
-        lines.append("# TYPE repro_serve_ticks_total counter")
-        lines.append(f'repro_serve_ticks_total{{kind="busy"}} '
-                     f"{self.ticks - self.empty_ticks}")
-        lines.append(f'repro_serve_ticks_total{{kind="empty"}} '
-                     f"{self.empty_ticks}")
-        gauge("repro_serve_queue_depth_high_water",
-              "Deepest the bounded request queue has been.",
-              self.queue_depth_high_water)
-        histogram("repro_serve_queue_wait_seconds",
-                  "Submit-to-flush wait inside the queue.", self.queue_wait)
-        histogram("repro_serve_request_latency_seconds",
-                  "Submit-to-answer latency of completed requests.",
-                  self.request_latency)
-        histogram("repro_serve_tick_batch_requests",
-                  "Requests coalesced per busy tick.",
-                  self.tick_batch_requests)
-
-        counter("repro_engine_queries_served_total",
-                "Individual query nodes answered by the engine.",
-                self.queries_served)
-        counter("repro_engine_batches_served_total",
-                "Logical request batches answered by the engine.",
-                self.batches_served)
-        counter("repro_engine_decode_calls_total",
-                "Decoder passes (one per coalesced tick group).",
-                self.decode_calls)
-        counter("repro_engine_decode_seconds_total",
-                "Wall-clock seconds inside the decoder.",
-                self.decode_seconds)
-        counter("repro_engine_contexts_encoded_total",
-                "Task contexts encoded (cache misses that did work).",
-                self.contexts_encoded)
-        counter("repro_engine_context_seconds_total",
-                "Wall-clock seconds encoding task contexts (encoder "
-                "plus the decoder's context transform).",
-                self.context_seconds)
-        counter("repro_engine_context_cache_hits_total",
-                "Context LRU hits.", self.context_cache_hits)
-        counter("repro_engine_context_cache_misses_total",
-                "Context LRU misses.", self.context_cache_misses)
-        counter("repro_engine_contexts_evicted_total",
-                "Context LRU evictions.", self.contexts_evicted)
-        gauge("repro_engine_context_cache_bytes",
-              "Resident bytes of the context LRU (payloads + scales).",
-              self.context_cache_bytes)
-        counter("repro_engine_contexts_bytes_evicted_total",
-                "Cumulative bytes reclaimed by context LRU eviction.",
-                self.contexts_bytes_evicted)
-        counter("repro_engine_deltas_applied_total",
-                "Graph deltas applied through the engine.",
-                self.deltas_applied)
-        counter("repro_engine_rows_repaired_total",
-                "Operator rows rewritten in place by delta repair.",
-                self.rows_repaired)
-        counter("repro_engine_contexts_dirtied_total",
-                "Cached task contexts invalidated for lazy re-encoding "
-                "by a delta's dirty frontier.",
-                self.contexts_dirtied)
-        counter("repro_engine_auto_selections_total",
-                "Tasks routed by the meta-method selector "
-                "(method=\"auto\").", self.auto_selections)
-        counter("repro_engine_auto_fallbacks_total",
-                "auto tasks served by the native model because the "
-                "selector abstained or none is configured.",
-                self.auto_fallbacks)
-        counter("repro_engine_auto_select_seconds_total",
-                "Wall-clock seconds extracting meta-features and scoring "
-                "candidates on the auto path.",
-                self.auto_select_seconds)
-        if self.method_picks:
-            lines.append("# HELP repro_engine_method_picks_total Tasks "
-                         "answered per method via answer_task.")
-            lines.append("# TYPE repro_engine_method_picks_total counter")
-            for name in sorted(self.method_picks):
-                lines.append(f'repro_engine_method_picks_total'
-                             f'{{method="{name}"}} '
-                             f"{self.method_picks[name]}")
-        gauge("repro_engine_graph_resident_bytes",
-              "Estimated anonymous-RAM bytes of the active task graph "
-              "(operators + feature working set).",
-              self.graph_resident_bytes)
-        gauge("repro_engine_shard_count",
-              "Row shards of the active task graph (1 = dense, 0 = no "
-              "task attached).",
-              self.shard_count)
-        gauge("repro_engine_backend_info",
-              "Active array backend (value is always 1).", 1,
-              label=f'{{backend="{self.backend}"}}')
-        gauge("repro_engine_context_storage_info",
-              "Context cache storage width (value is always 1).", 1,
-              label=f'{{storage="{self.context_storage}"}}')
-        return "\n".join(lines) + "\n"
+        families: Dict[str, List[str]] = {}
+        for field in dataclasses.fields(self):
+            if "metric" not in field.metadata:
+                continue
+            kind, name, help_text, label, labels = field.metadata["metric"]
+            samples = _samples(name, kind, label, labels,
+                               getattr(self, field.name))
+            if not samples:
+                continue
+            lines = families.setdefault(name, [
+                f"# HELP {name} {_escape(help_text, quote=False)}",
+                f"# TYPE {name} {kind}"])
+            for sample, sample_labels, value in samples:
+                pairs = ",".join(f'{key}="{_escape(item)}"'
+                                 for key, item in sample_labels.items())
+                lines.append(f"{sample}{{{pairs}}} {value}" if pairs
+                             else f"{sample} {value}")
+        return "".join(line + "\n" for lines in families.values()
+                       for line in lines)

@@ -124,26 +124,9 @@ class TestCommands:
         assert args.index_dtype is None
         assert isinstance(_index_scope(args), contextlib.nullcontext)
 
-    def test_query_architecture_flags_deprecated(self, tmp_path, capsys):
-        """Old scripts passing architecture flags still work, with a warning."""
-        model_path = str(tmp_path / "model.npz")
-        main(["train", "--dataset", "cora", "--out", model_path,
-              "--epochs", "1", "--tasks", "3", "--subgraph-nodes", "50",
-              "--hidden-dim", "8", "--layers", "2", "--conv", "gcn",
-              "--scale", "0.2"])
-        capsys.readouterr()
-        code = main(["query", "--dataset", "cora", "--model", model_path,
-                     "--node", "0", "--subgraph-nodes", "50",
-                     "--hidden-dim", "8", "--layers", "2", "--conv", "gcn",
-                     "--scale", "0.2"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "predicted community" in captured.out
-        assert "deprecated" in captured.err
-
     def test_query_legacy_weight_only_checkpoint(self, tmp_path, capsys):
-        """Bare weight arrays still load via the flag/default fallback."""
-        import numpy as np  # noqa: F401 (np used below)
+        """Bare weight arrays carry no architecture: `query` rejects them
+        with exit code 2, as `serve` does."""
         from repro.api import ModelBundle
         from repro.nn.serialize import save_state
 
@@ -157,12 +140,15 @@ class TestCommands:
         save_state(ModelBundle.load(model_path).state, legacy_path)
         code = main(["query", "--dataset", "cora", "--model", legacy_path,
                      "--node", "0", "--subgraph-nodes", "50",
-                     "--hidden-dim", "8", "--layers", "2", "--conv", "gcn",
                      "--scale", "0.2"])
-        assert code == 0
+        assert code == 2
         captured = capsys.readouterr()
-        assert "predicted community" in captured.out
-        assert "legacy" in captured.err
+        assert "predicted community" not in captured.out
+        assert "legacy weight-only checkpoint" in captured.err
+        assert "`repro query` needs the architecture header" in captured.err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["query", "--model", model_path,
+                                       "--node", "0", "--hidden-dim", "8"])
 
     def test_query_node_out_of_range(self, tmp_path, capsys):
         model_path = str(tmp_path / "model.npz")
@@ -224,6 +210,12 @@ class TestCommands:
                      "--rate", "40", "--duration", "0.2"])
         assert code == 2
         assert "legacy" in capsys.readouterr().err
+
+    def test_serve_rejects_bad_shard_count(self, capsys):
+        code = main(["serve", "--model", "x.npz", "--shards", "-1",
+                     "--subgraph-nodes", "40", "--scale", "0.2"])
+        assert code == 2
+        assert "num_shards must be >= 1" in capsys.readouterr().err
 
     def test_loadgen_rejects_empty_rates(self, capsys):
         code = main(["loadgen", "--model", "x.npz", "--rates", ","])

@@ -228,6 +228,33 @@ class TestCacheAccounting:
         engine.detach(fixture_tasks[0])
         assert engine.stats().context_cache_bytes == 0
 
+    def test_bytes_gauge_survives_reset_stats(self, fixture_tasks):
+        """``reset_stats`` zeroes counters, not the resident-bytes gauge:
+        through attach, reset, evict and detach the gauge always equals
+        the true sum over the LRU, and reads 0 once it is empty."""
+        model = build_model(fixture_tasks)
+        engine = CommunitySearchEngine(model, max_cached_contexts=2,
+                                       context_storage="int8")
+
+        def check():
+            resident = sum(stored.nbytes
+                           for stored in engine._contexts.values())
+            assert engine.stats().context_cache_bytes == resident
+            return resident
+
+        engine.attach(fixture_tasks[0])
+        engine.attach(fixture_tasks[1])
+        before = check()
+        assert before > 0
+        engine.reset_stats()
+        assert check() == before
+        engine.attach(fixture_tasks[2])         # evicts task 0
+        assert engine.stats().contexts_evicted == 1
+        check()
+        for task in fixture_tasks:
+            engine.detach(task)
+        assert check() == 0
+
     def test_eviction_counts_bytes(self, fixture_tasks):
         model = build_model(fixture_tasks)
         engine = CommunitySearchEngine(model, max_cached_contexts=2,
